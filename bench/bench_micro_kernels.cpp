@@ -211,6 +211,25 @@ void BM_ExecGateChainFused(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecGateChainFused);
 
+// The planned forward's narrow matmuls at the served shapes: m = 686 rows
+// (the bulk screen's mean batch nodes) by (k, n) = (32, 8) per-head q/k/v,
+// (32, 32) hidden linears and (16, 1) the Performer normaliser. Outside the
+// micro gate's pinned filter; exported as exec.matmul_fwd.n<n>.real_ns.
+void BM_ExecNarrowMatmul(benchmark::State& state) {
+  const std::int64_t m = 686, k = state.range(0), n = state.range(1);
+  Rng rng(13);
+  std::vector<float> a(static_cast<std::size_t>(m * k)), b(static_cast<std::size_t>(k * n)),
+      out(static_cast<std::size_t>(m * n));
+  for (float& v : a) v = rng.normal();
+  for (float& v : b) v = rng.normal();
+  const exec::KernelBackend& backend = exec::select_backend();
+  for (auto _ : state) {
+    backend.matmul_fwd(a.data(), b.data(), out.data(), m, k, n);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ExecNarrowMatmul)->Args({32, 8})->Args({32, 32})->Args({16, 1});
+
 // Plan-shaped buffer set: ~200 tensors with staggered liveness.
 std::vector<exec::ArenaRequest> arena_requests() {
   std::vector<exec::ArenaRequest> reqs;
@@ -507,7 +526,8 @@ int main(int argc, char** argv) {
       report.add_metric("trace_span.overhead.real_ns", to_ns(row.real_time, row.time_unit),
                         cgps::MetricDirection::kLowerIsBetter);
     // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
-    // kernel pairs, arena vs heap binding, and whole-model planned vs eager.
+    // kernel pairs, arena vs heap binding, whole-model planned vs eager, and
+    // the narrow forward matmuls.
     static const std::pair<const char*, const char*> kExecAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
@@ -519,6 +539,9 @@ int main(int argc, char** argv) {
         {"BM_ExecPlannedForward", "exec.forward.planned.real_ns"},
         {"BM_ExecEagerTrainStep", "exec.train_step.eager.real_ns"},
         {"BM_ExecPlannedTrainStep", "exec.train_step.planned.real_ns"},
+        {"BM_ExecNarrowMatmul/32/8", "exec.matmul_fwd.n8.real_ns"},
+        {"BM_ExecNarrowMatmul/32/32", "exec.matmul_fwd.n32.real_ns"},
+        {"BM_ExecNarrowMatmul/16/1", "exec.matmul_fwd.n1.real_ns"},
     };
     for (const auto& [bench, key] : kExecAliases) {
       if (row.name == bench)

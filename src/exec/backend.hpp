@@ -12,6 +12,13 @@
 //   * SIMD backends may re-associate within one output element (FMA, vector
 //     lanes) — planned-vs-eager then agrees to ~1e-5 relative — but must
 //     keep the same serial accumulation *order across elements*.
+//   * The AVX2 forward matmuls (matmul_fwd, linear_fwd, linear_relu_fwd)
+//     hold each output element to one sequence: +0.0, then fma(a[i,p],
+//     b[p,j], acc) for p ascending, skipping a[i,p] == 0, then + bias[j],
+//     then max(., 0). Their register blocking (R rows x V ymm accumulators
+//     kept across the whole k loop, scalar fma columns for n % 8) never
+//     changes that sequence, so their results are bitwise independent of
+//     the blocking (tests/test_backend_fuzz.cpp checks a reference).
 //   * No allocation anywhere in a kernel body: every buffer, including
 //     scratch, is carved from the plan arena by the caller
 //     (tools/cgps_lint enforces this for src/exec/backend_*.cpp).

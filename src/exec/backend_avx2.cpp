@@ -12,6 +12,7 @@
 
 #if defined(__AVX2__) && defined(__FMA__)
 
+#include <cmath>
 #include <immintrin.h>
 
 #include "exec/quant.hpp"
@@ -44,18 +45,108 @@ inline void axpy8(float xip, const float* wp, float* oi, std::int64_t n) {
   for (; j < n; ++j) oi[j] += xip * wp[j];
 }
 
-// One output row of A(m,k) B(k,n): zero, then ikj axpy with zero-skip on A —
-// the kern::matmul_fwd structure with a vectorized j loop.
-inline void row_fwd(const float* ai, const float* b, float* oi, std::int64_t k, std::int64_t n) {
-  std::int64_t j = 0;
-  const __m256 zero = _mm256_setzero_ps();
-  for (; j + 8 <= n; j += 8) _mm256_storeu_ps(oi + j, zero);
-  for (; j < n; ++j) oi[j] = 0.0f;
+// Register-blocked forward micro-kernel shared by matmul_fwd, linear_fwd and
+// linear_relu_fwd. Every output element follows one fixed sequence: start at
+// +0.0, acc = fma(a[i,p], b[p,j], acc) for p ascending, skipping a[i,p] == 0
+// (either sign), then + bias[j] (fused linears), then max(., 0) (ReLU).
+// That is kern::matmul_fwd's ikj loop with every multiply-add fused into one
+// FMA; the blocking only decides where partial sums live, so results do not
+// depend on it. A block of R rows x V ymm accumulators stays in registers
+// across the whole k loop and each output row is stored once, bias and ReLU
+// applied at the store. Columns past the last full 8-lane group (all of them
+// when n < 8, e.g. the Performer normaliser's n = 1) use scalar std::fma
+// accumulators interleaved over R rows.
+
+// Rows per block: about eight independent FMA chains, enough to cover the
+// FMA latency on two ports.
+template <int V>
+constexpr int kBlockRows = V <= 1 ? 8 : 8 / V;
+
+// R rows x 8V columns. `a` is the block's first row (row stride k); `b`,
+// `bias` and `o` point at the block's first column (row stride n).
+template <int R, int V>
+inline void block_fwd(const float* a, const float* b, const float* bias, bool relu, float* o,
+                      std::int64_t k, std::int64_t n) {
+  __m256 acc[R][V];
+  for (int r = 0; r < R; ++r)
+    for (std::int64_t v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
   for (std::int64_t p = 0; p < k; ++p) {
-    const float aip = ai[p];
-    if (aip == 0.0f) continue;
-    axpy8(aip, b + p * n, oi, n);
+    const float* bp = b + p * n;
+    for (int r = 0; r < R; ++r) {
+      const float arp = a[r * k + p];
+      if (arp == 0.0f) continue;
+      const __m256 av = _mm256_set1_ps(arp);
+      for (std::int64_t v = 0; v < V; ++v)
+        acc[r][v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 8 * v), acc[r][v]);
+    }
   }
+  const __m256 zero = _mm256_setzero_ps();
+  for (int r = 0; r < R; ++r) {
+    for (std::int64_t v = 0; v < V; ++v) {
+      __m256 out = acc[r][v];
+      if (bias != nullptr) out = _mm256_add_ps(out, _mm256_loadu_ps(bias + 8 * v));
+      if (relu) out = _mm256_max_ps(out, zero);
+      _mm256_storeu_ps(o + r * n + 8 * v, out);
+    }
+  }
+}
+
+// R rows x one column, scalar accumulators (same pointer layout, V = 0).
+template <int R>
+inline void block_fwd_col(const float* a, const float* b, const float* bias, bool relu,
+                          float* o, std::int64_t k, std::int64_t n) {
+  float acc[R] = {};
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float bp = b[p * n];
+    for (int r = 0; r < R; ++r) {
+      const float arp = a[r * k + p];
+      if (arp != 0.0f) acc[r] = std::fma(arp, bp, acc[r]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float out = acc[r];
+    if (bias != nullptr) out += *bias;
+    if (relu) out = kern::relu1(out);
+    o[r * n] = out;
+  }
+}
+
+// `rows` rows of one column panel (V ymm wide, or one scalar column when
+// V == 0): blocks of R rows, then the remainder in halving blocks.
+template <int R, int V>
+inline void panel_fwd(const float* a, const float* b, const float* bias, bool relu, float* o,
+                      std::int64_t rows, std::int64_t k, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + R <= rows; i += R) {
+    if constexpr (V == 0)
+      block_fwd_col<R>(a + i * k, b, bias, relu, o + i * n, k, n);
+    else
+      block_fwd<R, V>(a + i * k, b, bias, relu, o + i * n, k, n);
+  }
+  if constexpr (R > 1) panel_fwd<R / 2, V>(a + i * k, b, bias, relu, o + i * n, rows - i, k, n);
+}
+
+// Output rows [i0, i1) of O = A(m,k) B(k,n) [+ bias] [ReLU]: 32-column
+// panels, then the remaining full 8-lane groups as one panel, then the
+// scalar columns. `bias` may be null (plain matmul: no add at all).
+inline void rows_fwd(const float* a, const float* b, const float* bias, bool relu, float* o,
+                     std::int64_t i0, std::int64_t i1, std::int64_t k, std::int64_t n) {
+  a += i0 * k;
+  o += i0 * n;
+  const std::int64_t rows = i1 - i0;
+  const auto bias_at = [bias](std::int64_t j) { return bias == nullptr ? nullptr : bias + j; };
+  std::int64_t j = 0;
+  for (; j + 32 <= n; j += 32)
+    panel_fwd<kBlockRows<4>, 4>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+  const std::int64_t groups = (n - j) / 8;
+  if (groups == 3)
+    panel_fwd<kBlockRows<3>, 3>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+  else if (groups == 2)
+    panel_fwd<kBlockRows<2>, 2>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+  else if (groups == 1)
+    panel_fwd<kBlockRows<1>, 1>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+  for (j += 8 * groups; j < n; ++j)
+    panel_fwd<kBlockRows<0>, 0>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
 }
 
 // Exact horizontal sum of eight int32 lanes (integer adds are associative,
@@ -100,7 +191,7 @@ class Avx2Backend final : public KernelBackend {
   void matmul_fwd(const float* a, const float* b, float* o, std::int64_t m, std::int64_t k,
                   std::int64_t n) const override {
     par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) row_fwd(a + i * k, b, o + i * n, k, n);
+      rows_fwd(a, b, nullptr, false, o, i0, i1, k, n);
     });
   }
 
@@ -181,32 +272,14 @@ class Avx2Backend final : public KernelBackend {
   void linear_fwd(const float* x, const float* w, const float* bias, float* o, std::int64_t m,
                   std::int64_t k, std::int64_t n) const override {
     par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* oi = o + i * n;
-        row_fwd(x + i * k, w, oi, k, n);
-        std::int64_t j = 0;
-        for (; j + 8 <= n; j += 8)
-          _mm256_storeu_ps(oi + j,
-                           _mm256_add_ps(_mm256_loadu_ps(oi + j), _mm256_loadu_ps(bias + j)));
-        for (; j < n; ++j) oi[j] += bias[j];
-      }
+      rows_fwd(x, w, bias, false, o, i0, i1, k, n);
     });
   }
 
   void linear_relu_fwd(const float* x, const float* w, const float* bias, float* o,
                        std::int64_t m, std::int64_t k, std::int64_t n) const override {
     par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      const __m256 zero = _mm256_setzero_ps();
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* oi = o + i * n;
-        row_fwd(x + i * k, w, oi, k, n);
-        std::int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          const __m256 v = _mm256_add_ps(_mm256_loadu_ps(oi + j), _mm256_loadu_ps(bias + j));
-          _mm256_storeu_ps(oi + j, _mm256_max_ps(v, zero));
-        }
-        for (; j < n; ++j) oi[j] = kern::relu1(oi[j] + bias[j]);
-      }
+      rows_fwd(x, w, bias, true, o, i0, i1, k, n);
     });
   }
 

@@ -26,14 +26,16 @@ struct ExtractScratch {
   std::int32_t epoch = 0;       // node/edge membership epoch
   std::int32_t bfs_epoch = 0;   // per-anchor BFS epoch
 
+  // Growth zero-fills the stamp arrays but keeps both epochs: live epochs
+  // are >= 1, so a zeroed stamp never matches, and the stamps another graph
+  // left in arrays that did not grow stay below the next epoch. Only the
+  // INT32_MAX wrap resets an epoch.
   void prepare(std::int64_t num_nodes, std::int64_t num_edges) {
     if (static_cast<std::int64_t>(node_stamp.size()) < num_nodes) {
       node_stamp.assign(static_cast<std::size_t>(num_nodes), 0);
       node_local.resize(static_cast<std::size_t>(num_nodes));
       bfs_stamp.assign(static_cast<std::size_t>(num_nodes), 0);
       bfs_depth.resize(static_cast<std::size_t>(num_nodes));
-      epoch = 0;
-      bfs_epoch = 0;
     }
     if (static_cast<std::int64_t>(edge_stamp.size()) < num_edges)
       edge_stamp.assign(static_cast<std::size_t>(num_edges), 0);

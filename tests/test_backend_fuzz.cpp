@@ -1,8 +1,10 @@
 // Backend fuzz sweep (scalar vs AVX2) over odd/prime shapes, including
 // zero-row batches and sizes that straddle every vector-width boundary. The
 // fp32 kernels may re-associate within one output element, so they are held
-// to a relative tolerance; the int8 kernels share their one fp32 combine
-// (q8_combine) and must match bitwise.
+// to a relative tolerance against scalar; the AVX2 forward kernels must also
+// match, bit for bit, an in-test reference of their per-element sequence.
+// The int8 kernels share their one fp32 combine (q8_combine) and must match
+// bitwise.
 #include "exec/backend.hpp"
 #include "util/rng.hpp"
 
@@ -16,14 +18,56 @@ namespace cgps {
 namespace {
 
 // Odd, prime, and width-straddling dims. 8/16 float lanes and 32 int8 lanes
-// all hit partial-tail paths somewhere in this set.
-const std::vector<std::int64_t> kDims = {1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 31, 32, 33, 64, 67};
-const std::vector<std::int64_t> kBatchRows = {0, 1, 2, 3, 5, 7, 13, 17, 31, 33};
+// all hit partial-tail paths somewhere in this set, and 8/16/24/32/48/64
+// cover every AVX2 forward column-panel width (one to four ymm, then a
+// second panel).
+const std::vector<std::int64_t> kDims = {1,  2,  3,  5,  7,  8,  9,  13, 16,
+                                         17, 24, 31, 32, 33, 48, 64, 67};
+// Row counts around each AVX2 forward row-block size (8, 4 and 2 rows), so
+// full blocks and every halving remainder run.
+const std::vector<std::int64_t> kBatchRows = {0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 31, 33};
 
 std::vector<float> random_floats(std::size_t n, Rng& rng, double lo = -2.0, double hi = 2.0) {
   std::vector<float> v(n);
   for (float& x : v) x = static_cast<float>(rng.uniform(lo, hi));
   return v;
+}
+
+// uniform(-2, 2) never yields an exact zero, so the A-side zero-skip would
+// go untested: replace about a fifth of the entries with +0.0 and -0.0, and
+// a few with ±1e-30, whose products underflow to a signed zero. A -0.0
+// accumulator is what makes a skipped zero observable: fma(±0, b, -0.0) can
+// turn it into +0.0.
+std::vector<float> random_floats_with_zeros(std::size_t n, Rng& rng) {
+  std::vector<float> v = random_floats(n, rng);
+  for (float& x : v) {
+    const double u = rng.uniform();
+    if (u < 0.1) x = 0.0f;
+    else if (u < 0.2) x = -0.0f;
+    else if (u < 0.25) x = std::copysign(1e-30f, x);
+  }
+  return v;
+}
+
+// The AVX2 forward order, one element at a time: +0.0, then std::fma over p
+// ascending skipping a[i,p] == 0, then + bias[j], then ReLU.
+std::vector<float> reference_fwd(const std::vector<float>& a, const std::vector<float>& b,
+                                 const float* bias, bool relu, std::int64_t m, std::int64_t k,
+                                 std::int64_t n) {
+  std::vector<float> o(static_cast<std::size_t>(m * n));
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float aip = a[static_cast<std::size_t>(i * k + p)];
+        if (aip != 0.0f) acc = std::fma(aip, b[static_cast<std::size_t>(p * n + j)], acc);
+      }
+      if (bias != nullptr) acc += bias[j];
+      if (relu) acc = acc > 0.0f ? acc : 0.0f;
+      o[static_cast<std::size_t>(i * n + j)] = acc;
+    }
+  }
+  return o;
 }
 
 std::vector<std::int8_t> random_codes(std::size_t n, Rng& rng) {
@@ -62,8 +106,11 @@ TEST(BackendFuzz, Fp32KernelsAgreeWithinTolerance) {
         // Keep the sweep cheap: sample the cube rather than exhausting it,
         // but always keep the zero-row and size-1 edges.
         if (m > 1 && k > 1 && n > 1 && rng.uniform() > 0.25) continue;
-        const auto a = random_floats(static_cast<std::size_t>(m * k), rng);
-        const auto b = random_floats(static_cast<std::size_t>(k * n), rng);
+        const bool zeros = rng.uniform() < 0.5;
+        const auto a = zeros ? random_floats_with_zeros(static_cast<std::size_t>(m * k), rng)
+                             : random_floats(static_cast<std::size_t>(m * k), rng);
+        const auto b = zeros ? random_floats_with_zeros(static_cast<std::size_t>(k * n), rng)
+                             : random_floats(static_cast<std::size_t>(k * n), rng);
         const auto bias = random_floats(static_cast<std::size_t>(n), rng);
         std::vector<float> o_scalar(static_cast<std::size_t>(m * n));
         std::vector<float> o_avx2(static_cast<std::size_t>(m * n));
@@ -80,6 +127,72 @@ TEST(BackendFuzz, Fp32KernelsAgreeWithinTolerance) {
         avx2->linear_relu_fwd(a.data(), b.data(), bias.data(), o_avx2.data(), m, k, n);
         expect_rel_close(o_scalar, o_avx2, 1e-5f, "linear_relu_fwd", m, k, n);
       }
+    }
+  }
+}
+
+// The AVX2 forward kernels keep every element's exact sequence whatever
+// their register blocking, so they match the reference bit for bit,
+// including the sign of zero results and the skipped ±0.0 inputs.
+TEST(BackendFuzz, Avx2ForwardKernelsMatchReferenceBitwise) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  Rng rng(3031);
+  for (const std::int64_t m : kBatchRows) {
+    for (const std::int64_t k : kDims) {
+      for (const std::int64_t n : kDims) {
+        if (m > 1 && k > 1 && n > 1 && rng.uniform() > 0.25) continue;
+        const auto a = random_floats_with_zeros(static_cast<std::size_t>(m * k), rng);
+        const auto b = random_floats_with_zeros(static_cast<std::size_t>(k * n), rng);
+        const auto bias = random_floats_with_zeros(static_cast<std::size_t>(n), rng);
+        std::vector<float> o(static_cast<std::size_t>(m * n));
+
+        avx2->matmul_fwd(a.data(), b.data(), o.data(), m, k, n);
+        expect_bitwise(reference_fwd(a, b, nullptr, false, m, k, n), o, "matmul_fwd", m, k, n);
+
+        avx2->linear_fwd(a.data(), b.data(), bias.data(), o.data(), m, k, n);
+        expect_bitwise(reference_fwd(a, b, bias.data(), false, m, k, n), o, "linear_fwd", m, k,
+                       n);
+
+        avx2->linear_relu_fwd(a.data(), b.data(), bias.data(), o.data(), m, k, n);
+        expect_bitwise(reference_fwd(a, b, bias.data(), true, m, k, n), o, "linear_relu_fwd", m,
+                       k, n);
+      }
+    }
+  }
+}
+
+// A skipped zero is observable only on a -0.0 accumulator: the first
+// product underflows to -0.0, and fma(+0.0, 1, -0.0) would give +0.0. Pin
+// the skip in every column panel (one to four ymm, scalar columns) and row
+// block.
+TEST(BackendFuzz, Avx2ForwardSkipsZerosOnNegativeZeroAccumulator) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  const std::int64_t k = 2;
+  for (const std::int64_t m : kBatchRows) {
+    for (const std::int64_t n : kDims) {
+      std::vector<float> a(static_cast<std::size_t>(m * k));
+      for (std::int64_t i = 0; i < m; ++i) {
+        a[static_cast<std::size_t>(i * k)] = 1e-30f;
+        a[static_cast<std::size_t>(i * k + 1)] = 0.0f;
+      }
+      std::vector<float> b(static_cast<std::size_t>(k * n), 1.0f);
+      for (std::int64_t j = 0; j < n; ++j) b[static_cast<std::size_t>(j)] = -1e-30f;
+      const std::vector<float> bias(static_cast<std::size_t>(n), -0.0f);
+      std::vector<float> o(static_cast<std::size_t>(m * n));
+
+      avx2->matmul_fwd(a.data(), b.data(), o.data(), m, k, n);
+      for (const float v : o) ASSERT_TRUE(v == 0.0f && std::signbit(v)) << "m=" << m << " n=" << n;
+      expect_bitwise(reference_fwd(a, b, nullptr, false, m, k, n), o, "matmul_fwd", m, k, n);
+
+      avx2->linear_fwd(a.data(), b.data(), bias.data(), o.data(), m, k, n);
+      expect_bitwise(reference_fwd(a, b, bias.data(), false, m, k, n), o, "linear_fwd", m, k,
+                     n);
+
+      avx2->linear_relu_fwd(a.data(), b.data(), bias.data(), o.data(), m, k, n);
+      expect_bitwise(reference_fwd(a, b, bias.data(), true, m, k, n), o, "linear_relu_fwd", m, k,
+                     n);
     }
   }
 }

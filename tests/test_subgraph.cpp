@@ -10,6 +10,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <set>
+#include <thread>
 
 namespace cgps {
 namespace {
@@ -157,6 +158,40 @@ TEST(Subgraph, InvalidAnchorsThrow) {
   EXPECT_THROW(
       extract_enclosing_subgraph(f.graph.graph, 0, f.graph.graph.num_nodes() + 5, {}),
       std::invalid_argument);
+}
+
+// Extraction scratch is thread-local and outlives the graph it was sized
+// for. A thread that extracted on a small dense graph and then extracts on a
+// larger but sparser one must induce the same edges as a fresh thread: the
+// edge stamps the first graph left behind must not match the second graph's
+// epochs.
+TEST(Subgraph, ScratchReuseOnLargerSparserGraphKeepsEdges) {
+  HeteroGraph dense;  // K6: 6 nodes, 15 edges
+  for (int i = 0; i < 6; ++i) dense.add_node(NodeType::kNet);
+  for (std::int32_t a = 0; a < 6; ++a)
+    for (std::int32_t b = a + 1; b < 6; ++b) dense.add_edge(a, b, kEdgeNetPin);
+  dense.build_adjacency();
+  HeteroGraph path;  // 10 nodes, 9 edges
+  for (int i = 0; i < 10; ++i) path.add_node(NodeType::kNet);
+  for (std::int32_t a = 0; a + 1 < 10; ++a) path.add_edge(a, a + 1, kEdgeNetPin);
+  path.build_adjacency();
+
+  Subgraph reused;
+  Subgraph fresh;
+  std::thread([&] {
+    extract_enclosing_subgraph(dense, 0, 1, {});
+    reused = extract_enclosing_subgraph(path, 4, 6, {});
+  }).join();
+  std::thread([&] { fresh = extract_enclosing_subgraph(path, 4, 6, {}); }).join();
+
+  // Nodes 3..7; path edges 3-4, 4-5, 5-6, 6-7 in both directions.
+  EXPECT_EQ(fresh.edges.size(), 8u);
+  EXPECT_EQ(reused.orig_nodes, fresh.orig_nodes);
+  EXPECT_EQ(reused.edges.src, fresh.edges.src);
+  EXPECT_EQ(reused.edges.dst, fresh.edges.dst);
+  EXPECT_EQ(reused.edge_type, fresh.edge_type);
+  EXPECT_EQ(reused.dist0, fresh.dist0);
+  EXPECT_EQ(reused.dist1, fresh.dist1);
 }
 
 TEST(Subgraph, UnbuiltAdjacencyThrows) {
