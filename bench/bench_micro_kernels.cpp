@@ -230,6 +230,35 @@ void BM_ExecNarrowMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecNarrowMatmul)->Args({32, 8})->Args({32, 32})->Args({16, 1});
 
+// The training step's backward matmuls at the pre-training shapes: m = 337
+// rows (the pre-training batch's mean node count) by (inner, cols) = (32, 32)
+// hidden linears, (32, 8) per-head q/k/v and (64, 32) the second
+// linear of the fuse MLP. `grad_b` picks dB(inner,cols) += A^T dC, else
+// dA(m,inner) += dC B^T.
+// Outside the micro gate's pinned filter; exported as
+// exec.matmul_db.<inner>x<cols>.real_ns and exec.matmul_da.<inner>x<cols>.real_ns.
+void BM_ExecBackwardMatmul(benchmark::State& state, bool grad_b) {
+  const std::int64_t m = 337, inner = state.range(0), cols = state.range(1);
+  Rng rng(14);
+  std::vector<float> dc(static_cast<std::size_t>(m * cols)), a(static_cast<std::size_t>(m * inner)),
+      b(static_cast<std::size_t>(inner * cols));
+  for (float& v : dc) v = rng.normal();
+  for (float& v : a) v = rng.normal();
+  for (float& v : b) v = rng.normal();
+  std::vector<float> da(a.size()), db(b.size());
+  const exec::KernelBackend& backend = exec::select_backend();
+  for (auto _ : state) {
+    if (grad_b)
+      backend.matmul_db(dc.data(), a.data(), db.data(), m, inner, cols);
+    else
+      backend.matmul_da(dc.data(), b.data(), da.data(), m, inner, cols);
+    benchmark::DoNotOptimize(grad_b ? db.data() : da.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_ExecBackwardMatmul, db, true)->Args({32, 32})->Args({32, 8})->Args({64, 32});
+BENCHMARK_CAPTURE(BM_ExecBackwardMatmul, da, false)->Args({32, 32})->Args({32, 8})->Args({64, 32});
+
 // Plan-shaped buffer set: ~200 tensors with staggered liveness.
 std::vector<exec::ArenaRequest> arena_requests() {
   std::vector<exec::ArenaRequest> reqs;
@@ -526,8 +555,8 @@ int main(int argc, char** argv) {
       report.add_metric("trace_span.overhead.real_ns", to_ns(row.real_time, row.time_unit),
                         cgps::MetricDirection::kLowerIsBetter);
     // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
-    // kernel pairs, arena vs heap binding, whole-model planned vs eager, and
-    // the narrow forward matmuls.
+    // kernel pairs, arena vs heap binding, whole-model planned vs eager, the
+    // narrow forward matmuls and the training-shaped backward matmuls.
     static const std::pair<const char*, const char*> kExecAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
@@ -542,6 +571,12 @@ int main(int argc, char** argv) {
         {"BM_ExecNarrowMatmul/32/8", "exec.matmul_fwd.n8.real_ns"},
         {"BM_ExecNarrowMatmul/32/32", "exec.matmul_fwd.n32.real_ns"},
         {"BM_ExecNarrowMatmul/16/1", "exec.matmul_fwd.n1.real_ns"},
+        {"BM_ExecBackwardMatmul/db/32/32", "exec.matmul_db.32x32.real_ns"},
+        {"BM_ExecBackwardMatmul/db/32/8", "exec.matmul_db.32x8.real_ns"},
+        {"BM_ExecBackwardMatmul/db/64/32", "exec.matmul_db.64x32.real_ns"},
+        {"BM_ExecBackwardMatmul/da/32/32", "exec.matmul_da.32x32.real_ns"},
+        {"BM_ExecBackwardMatmul/da/32/8", "exec.matmul_da.32x8.real_ns"},
+        {"BM_ExecBackwardMatmul/da/64/32", "exec.matmul_da.64x32.real_ns"},
     };
     for (const auto& [bench, key] : kExecAliases) {
       if (row.name == bench)

@@ -19,6 +19,16 @@
 //     kept across the whole k loop, scalar fma columns for n % 8) never
 //     changes that sequence, so their results are bitwise independent of
 //     the blocking (tests/test_backend_fuzz.cpp checks a reference).
+//   * The AVX2 matmul_db holds each dB element to: its current value, then
+//     fma(a[i,p], dc[i,j], acc) for i ascending, skipping a[i,p] == 0. Its
+//     blocking is the forward's turned around (R dB rows x V ymm columns
+//     loaded once, kept across the whole i loop, stored once).
+//   * The AVX2 matmul_da holds each dA element to: eight lanes from +0.0,
+//     lane l taking fma(dc[i,j], b[p,j], lane) over j = 8c + l, chunks
+//     ascending; the lanes summed ((v0+v4)+(v2+v6))+((v1+v5)+(v3+v7)); an
+//     explicit fma chain over the cols % 8 tail, j ascending; one add into
+//     dA. Eight p run together and one transpose-add reduces them, which
+//     never changes that sequence (the same test checks a reference).
 //   * No allocation anywhere in a kernel body: every buffer, including
 //     scratch, is carved from the plan arena by the caller
 //     (tools/cgps_lint enforces this for src/exec/backend_*.cpp).

@@ -23,28 +23,6 @@ namespace cgps::exec {
 
 namespace {
 
-// Horizontal sum of one 8-lane accumulator (fixed reduction tree, so every
-// call rounds identically).
-inline float hsum8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
-// oi[0..n) += xip * wp[0..n), vectorized with FMA.
-inline void axpy8(float xip, const float* wp, float* oi, std::int64_t n) {
-  const __m256 xv = _mm256_set1_ps(xip);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 o = _mm256_loadu_ps(oi + j);
-    _mm256_storeu_ps(oi + j, _mm256_fmadd_ps(xv, _mm256_loadu_ps(wp + j), o));
-  }
-  for (; j < n; ++j) oi[j] += xip * wp[j];
-}
-
 // Register-blocked forward micro-kernel shared by matmul_fwd, linear_fwd and
 // linear_relu_fwd. Every output element follows one fixed sequence: start at
 // +0.0, acc = fma(a[i,p], b[p,j], acc) for p ascending, skipping a[i,p] == 0
@@ -149,6 +127,164 @@ inline void rows_fwd(const float* a, const float* b, const float* bias, bool rel
     panel_fwd<kBlockRows<0>, 0>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
 }
 
+// Register-blocked dB micro-kernel: the forward blocking turned around, with
+// dB rows in place of output rows and the i loop in place of the k loop.
+// Every dB element follows one fixed sequence: start from its current value,
+// then acc = fma(a[i,p], dc[i,j], acc) for i ascending, skipping a[i,p] == 0
+// (either sign). That is kern::matmul_db's axpy loop with every multiply-add
+// fused into one FMA. A block of R dB rows x V ymm columns is loaded once,
+// stays in registers across the whole i loop and is stored once. Columns
+// past the last full 8-lane group use scalar std::fma accumulators
+// interleaved over R rows.
+
+// R dB rows x 8V columns. `a` is the block's first column of A (row stride
+// inner); `dc` and `db` point at the block's first column (row stride cols).
+template <int R, int V>
+inline void block_db(const float* dc, const float* a, float* db, std::int64_t rows,
+                     std::int64_t inner, std::int64_t cols) {
+  __m256 acc[R][V];
+  for (int r = 0; r < R; ++r)
+    for (std::int64_t v = 0; v < V; ++v) acc[r][v] = _mm256_loadu_ps(db + r * cols + 8 * v);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* ai = a + i * inner;
+    __m256 d[V];
+    for (std::int64_t v = 0; v < V; ++v) d[v] = _mm256_loadu_ps(dc + i * cols + 8 * v);
+    for (int r = 0; r < R; ++r) {
+      if (ai[r] == 0.0f) continue;
+      const __m256 av = _mm256_set1_ps(ai[r]);
+      for (std::int64_t v = 0; v < V; ++v) acc[r][v] = _mm256_fmadd_ps(av, d[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    for (std::int64_t v = 0; v < V; ++v) _mm256_storeu_ps(db + r * cols + 8 * v, acc[r][v]);
+}
+
+// R dB rows x one column, scalar accumulators (same pointer layout, V = 0).
+template <int R>
+inline void block_db_col(const float* dc, const float* a, float* db, std::int64_t rows,
+                         std::int64_t inner, std::int64_t cols) {
+  float acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = db[r * cols];
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* ai = a + i * inner;
+    const float d = dc[i * cols];
+    for (int r = 0; r < R; ++r)
+      if (ai[r] != 0.0f) acc[r] = std::fma(ai[r], d, acc[r]);
+  }
+  for (int r = 0; r < R; ++r) db[r * cols] = acc[r];
+}
+
+// `count` dB rows of one column panel (V ymm wide, or one scalar column when
+// V == 0): blocks of R rows, then the remainder in halving blocks.
+template <int R, int V>
+inline void panel_db(const float* dc, const float* a, float* db, std::int64_t count,
+                     std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  std::int64_t p = 0;
+  for (; p + R <= count; p += R) {
+    if constexpr (V == 0)
+      block_db_col<R>(dc, a + p, db + p * cols, rows, inner, cols);
+    else
+      block_db<R, V>(dc, a + p, db + p * cols, rows, inner, cols);
+  }
+  if constexpr (R > 1)
+    panel_db<R / 2, V>(dc, a + p, db + p * cols, count - p, rows, inner, cols);
+}
+
+// dB rows [p0, p1) of dB(inner,cols) += A(rows,inner)^T dC(rows,cols), in
+// the forward's column panels: 32 wide, then the remaining full 8-lane
+// groups as one panel, then the scalar columns.
+inline void rows_db(const float* dc, const float* a, float* db, std::int64_t p0, std::int64_t p1,
+                    std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  a += p0;
+  db += p0 * cols;
+  const std::int64_t count = p1 - p0;
+  std::int64_t j = 0;
+  for (; j + 32 <= cols; j += 32)
+    panel_db<kBlockRows<4>, 4>(dc + j, a, db + j, count, rows, inner, cols);
+  const std::int64_t groups = (cols - j) / 8;
+  if (groups == 3)
+    panel_db<kBlockRows<3>, 3>(dc + j, a, db + j, count, rows, inner, cols);
+  else if (groups == 2)
+    panel_db<kBlockRows<2>, 2>(dc + j, a, db + j, count, rows, inner, cols);
+  else if (groups == 1)
+    panel_db<kBlockRows<1>, 1>(dc + j, a, db + j, count, rows, inner, cols);
+  for (j += 8 * groups; j < cols; ++j)
+    panel_db<kBlockRows<0>, 0>(dc + j, a, db + j, count, rows, inner, cols);
+}
+
+// Register-blocked dA micro-kernel. Every dA element follows one fixed
+// sequence: eight lanes start at +0.0, and lane l takes acc = fma(dc[i,j],
+// b[p,j], acc) for the column j = 8c + l of each full 8-column chunk c,
+// chunks ascending; the lanes are summed as ((v0+v4)+(v2+v6)) +
+// ((v1+v5)+(v3+v7)); the cols % 8 tail continues that sum with std::fma
+// over j ascending; and the result is added to dA[i,p] once. A block of
+// eight p runs together, each with its own 8-lane accumulator, so each dC
+// chunk is loaded once per eight dot products and one transpose-add reduces
+// all eight; the block then walks every row of the chunk with its B rows
+// hot in L1.
+
+// Lane q of the result is the lane sum of acc[q], paired as above.
+inline __m256 hsum8x8(const __m256 (&acc)[8]) {
+  // v[l] + v[l+4]: accumulator q in the low half, q + 4 in the high half.
+  const auto fold = [](__m256 lo, __m256 hi) {
+    return _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
+                         _mm256_permute2f128_ps(lo, hi, 0x31));
+  };
+  const __m256 h0 = fold(acc[0], acc[4]);
+  const __m256 h1 = fold(acc[1], acc[5]);
+  const __m256 h2 = fold(acc[2], acc[6]);
+  const __m256 h3 = fold(acc[3], acc[7]);
+  // (v0+v4)+(v2+v6) and (v1+v5)+(v3+v7) of two accumulators per register.
+  const __m256 s01 = _mm256_add_ps(_mm256_unpacklo_ps(h0, h1), _mm256_unpackhi_ps(h0, h1));
+  const __m256 s23 = _mm256_add_ps(_mm256_unpacklo_ps(h2, h3), _mm256_unpackhi_ps(h2, h3));
+  return _mm256_add_ps(_mm256_shuffle_ps(s01, s23, _MM_SHUFFLE(1, 0, 1, 0)),
+                       _mm256_shuffle_ps(s01, s23, _MM_SHUFFLE(3, 2, 3, 2)));
+}
+
+// dA[i, p..p+P) for every row i, P <= 8. `b` is row p of B (row stride
+// cols); `da` points at dA[0,p] (row stride inner).
+template <int P>
+inline void block_da(const float* dc, const float* b, float* da, std::int64_t rows,
+                     std::int64_t inner, std::int64_t cols) {
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(P), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* dci = dc + i * cols;
+    float* dai = da + i * inner;
+    __m256 acc[8];
+    for (int q = 0; q < 8; ++q) acc[q] = _mm256_setzero_ps();
+    std::int64_t j = 0;
+    for (; j + 8 <= cols; j += 8) {
+      const __m256 d = _mm256_loadu_ps(dci + j);
+      for (int q = 0; q < P; ++q)
+        acc[q] = _mm256_fmadd_ps(d, _mm256_loadu_ps(b + q * cols + j), acc[q]);
+    }
+    __m256 sum = hsum8x8(acc);
+    if (j < cols) {
+      alignas(32) float s[8];
+      _mm256_store_ps(s, sum);
+      for (; j < cols; ++j)
+        for (int q = 0; q < P; ++q) s[q] = std::fma(dci[j], b[q * cols + j], s[q]);
+      sum = _mm256_load_ps(s);
+    }
+    if constexpr (P == 8)
+      _mm256_storeu_ps(dai, _mm256_add_ps(_mm256_loadu_ps(dai), sum));
+    else
+      _mm256_maskstore_ps(dai, mask, _mm256_add_ps(_mm256_maskload_ps(dai, mask), sum));
+  }
+}
+
+// dA columns [0, count) of `rows` rows: blocks of P columns, then the
+// remainder in halving blocks.
+template <int P>
+inline void panel_da(const float* dc, const float* b, float* da, std::int64_t count,
+                     std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  std::int64_t p = 0;
+  for (; p + P <= count; p += P) block_da<P>(dc, b + p * cols, da + p, rows, inner, cols);
+  if constexpr (P > 1)
+    panel_da<P / 2>(dc, b + p * cols, da + p, count - p, rows, inner, cols);
+}
+
 // Exact horizontal sum of eight int32 lanes (integer adds are associative,
 // so any reduction order gives the same bits).
 inline std::int32_t hsum8i(__m256i v) {
@@ -197,75 +333,19 @@ class Avx2Backend final : public KernelBackend {
 
   void matmul_da(const float* dc, const float* b, float* da, std::int64_t rows,
                  std::int64_t inner, std::int64_t cols) const override {
-    // Same 4-row blocking as kern::matmul_da, each dot product vectorized.
+    // Chunks own dA rows, as in kern::matmul_da.
     par::parallel_for(0, rows, par::grain_for(inner * cols),
                       [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float* dci = dc + i * cols;
-        float* dai = da + i * inner;
-        std::int64_t p = 0;
-        for (; p + 4 <= inner; p += 4) {
-          const float* b0 = b + p * cols;
-          const float* b1 = b0 + cols;
-          const float* b2 = b1 + cols;
-          const float* b3 = b2 + cols;
-          __m256 a0 = _mm256_setzero_ps();
-          __m256 a1 = _mm256_setzero_ps();
-          __m256 a2 = _mm256_setzero_ps();
-          __m256 a3 = _mm256_setzero_ps();
-          std::int64_t j = 0;
-          for (; j + 8 <= cols; j += 8) {
-            const __m256 d = _mm256_loadu_ps(dci + j);
-            a0 = _mm256_fmadd_ps(d, _mm256_loadu_ps(b0 + j), a0);
-            a1 = _mm256_fmadd_ps(d, _mm256_loadu_ps(b1 + j), a1);
-            a2 = _mm256_fmadd_ps(d, _mm256_loadu_ps(b2 + j), a2);
-            a3 = _mm256_fmadd_ps(d, _mm256_loadu_ps(b3 + j), a3);
-          }
-          float acc0 = hsum8(a0);
-          float acc1 = hsum8(a1);
-          float acc2 = hsum8(a2);
-          float acc3 = hsum8(a3);
-          for (; j < cols; ++j) {
-            const float d = dci[j];
-            acc0 += d * b0[j];
-            acc1 += d * b1[j];
-            acc2 += d * b2[j];
-            acc3 += d * b3[j];
-          }
-          dai[p] += acc0;
-          dai[p + 1] += acc1;
-          dai[p + 2] += acc2;
-          dai[p + 3] += acc3;
-        }
-        for (; p < inner; ++p) {
-          const float* bp = b + p * cols;
-          __m256 av = _mm256_setzero_ps();
-          std::int64_t j = 0;
-          for (; j + 8 <= cols; j += 8)
-            av = _mm256_fmadd_ps(_mm256_loadu_ps(dci + j), _mm256_loadu_ps(bp + j), av);
-          float acc = hsum8(av);
-          for (; j < cols; ++j) acc += dci[j] * bp[j];
-          dai[p] += acc;
-        }
-      }
+      panel_da<8>(dc + i0 * cols, b, da + i0 * inner, inner, i1 - i0, inner, cols);
     });
   }
 
   void matmul_db(const float* dc, const float* a, float* db, std::int64_t rows,
                  std::int64_t inner, std::int64_t cols) const override {
-    // Chunks own dB rows [p0, p1); i-ascending axpy with zero-skip on A,
-    // exactly the kern::matmul_db structure.
+    // Chunks own dB rows [p0, p1), as in kern::matmul_db.
     par::parallel_for(0, inner, par::grain_for(rows * cols),
                       [&](std::int64_t p0, std::int64_t p1) {
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const float* dci = dc + i * cols;
-        const float* ai = a + i * inner;
-        for (std::int64_t p = p0; p < p1; ++p) {
-          const float aip = ai[p];
-          if (aip == 0.0f) continue;
-          axpy8(aip, dci, db + p * cols, cols);
-        }
-      }
+      rows_db(dc, a, db, p0, p1, rows, inner, cols);
     });
   }
 

@@ -37,13 +37,30 @@ void BinaryWriter::write_i8_vector(const std::vector<std::int8_t>& v) {
   if (!v.empty()) write_raw(v.data(), v.size());
 }
 
-BinaryReader::BinaryReader(const std::string& path) : in_(path, std::ios::binary) {
+BinaryReader::BinaryReader(const std::string& path)
+    : in_(path, std::ios::binary | std::ios::ate) {
   if (!in_) throw std::runtime_error("BinaryReader: cannot open " + path);
+  const std::streamoff size = in_.tellg();
+  in_.seekg(0);
+  if (size < 0 || !in_) throw std::runtime_error("BinaryReader: cannot size " + path);
+  remaining_ = static_cast<std::uint64_t>(size);
 }
 
 void BinaryReader::read_raw(void* data, std::size_t n) {
+  if (n > remaining_) throw std::runtime_error("BinaryReader: truncated read");
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
   if (!in_) throw std::runtime_error("BinaryReader: truncated read");
+  remaining_ -= n;
+}
+
+// A corrupt prefix must fail here, before the caller allocates n elements.
+// Dividing the bytes left (rather than multiplying n) cannot overflow.
+std::uint64_t BinaryReader::read_length(std::size_t elem_size) {
+  const std::uint64_t n = read_u64();
+  if (n > remaining_ / elem_size)
+    throw std::runtime_error("BinaryReader: length prefix " + std::to_string(n) + " exceeds the " +
+                             std::to_string(remaining_) + " bytes left");
+  return n;
 }
 
 std::uint32_t BinaryReader::read_u32() {
@@ -68,28 +85,28 @@ double BinaryReader::read_f64() {
 }
 
 std::string BinaryReader::read_string() {
-  const std::uint64_t n = read_u64();
+  const std::uint64_t n = read_length(1);
   std::string s(n, '\0');
   if (n > 0) read_raw(s.data(), n);
   return s;
 }
 
 std::vector<float> BinaryReader::read_f32_vector() {
-  const std::uint64_t n = read_u64();
+  const std::uint64_t n = read_length(sizeof(float));
   std::vector<float> v(n);
   if (n > 0) read_raw(v.data(), n * sizeof(float));
   return v;
 }
 
 std::vector<std::int64_t> BinaryReader::read_i64_vector() {
-  const std::uint64_t n = read_u64();
+  const std::uint64_t n = read_length(sizeof(std::int64_t));
   std::vector<std::int64_t> v(n);
   if (n > 0) read_raw(v.data(), n * sizeof(std::int64_t));
   return v;
 }
 
 std::vector<std::int8_t> BinaryReader::read_i8_vector() {
-  const std::uint64_t n = read_u64();
+  const std::uint64_t n = read_length(1);
   std::vector<std::int8_t> v(n);
   if (n > 0) read_raw(v.data(), n);
   return v;

@@ -1,6 +1,8 @@
 // Minimal binary serialization used for model checkpoints (pre-train once,
 // fine-tune later) and dataset caches. Little-endian POD framing with a magic
-// header and explicit sizes; no versioned schema evolution needed here.
+// header and explicit sizes; no versioned schema evolution needed here. The
+// reader bounds every length prefix by the bytes left in the file, so a
+// corrupt prefix throws std::runtime_error instead of allocating.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,11 @@ class BinaryReader {
 
  private:
   void read_raw(void* data, std::size_t n);
+  // Reads a u64 element count and rejects it unless that many elements of
+  // `elem_size` bytes fit in the bytes left.
+  std::uint64_t read_length(std::size_t elem_size);
   std::ifstream in_;
+  std::uint64_t remaining_ = 0;  // bytes not yet read
 };
 
 }  // namespace cgps

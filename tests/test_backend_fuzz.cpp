@@ -1,13 +1,15 @@
 // Backend fuzz sweep (scalar vs AVX2) over odd/prime shapes, including
 // zero-row batches and sizes that straddle every vector-width boundary. The
 // fp32 kernels may re-associate within one output element, so they are held
-// to a relative tolerance against scalar; the AVX2 forward kernels must also
-// match, bit for bit, an in-test reference of their per-element sequence.
+// to a relative tolerance against scalar; the AVX2 matmul kernels, forward
+// and backward, must also match, bit for bit, an in-test reference of their
+// per-element sequence.
 // The int8 kernels share their one fp32 combine (q8_combine) and must match
 // bitwise.
 #include "exec/backend.hpp"
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,8 +21,8 @@ namespace {
 
 // Odd, prime, and width-straddling dims. 8/16 float lanes and 32 int8 lanes
 // all hit partial-tail paths somewhere in this set, and 8/16/24/32/48/64
-// cover every AVX2 forward column-panel width (one to four ymm, then a
-// second panel).
+// cover every AVX2 column-panel width of the forward and dB kernels (one to
+// four ymm, then a second panel) and every dA row-block size (8, 4, 2, 1).
 const std::vector<std::int64_t> kDims = {1,  2,  3,  5,  7,  8,  9,  13, 16,
                                          17, 24, 31, 32, 33, 48, 64, 67};
 // Row counts around each AVX2 forward row-block size (8, 4 and 2 rows), so
@@ -70,6 +72,45 @@ std::vector<float> reference_fwd(const std::vector<float>& a, const std::vector<
   return o;
 }
 
+// The AVX2 dA order, one element at a time: eight lanes from +0.0, lane l
+// taking std::fma over the columns j = 8c + l of the full 8-column chunks,
+// the lanes summed ((v0+v4)+(v2+v6))+((v1+v5)+(v3+v7)), then std::fma over
+// the cols % 8 tail, then one add into dA.
+std::vector<float> reference_da(const std::vector<float>& dc, const std::vector<float>& b,
+                                std::vector<float> da, std::int64_t rows, std::int64_t inner,
+                                std::int64_t cols) {
+  const std::int64_t full = cols - cols % 8;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* dci = dc.data() + i * cols;
+    for (std::int64_t p = 0; p < inner; ++p) {
+      const float* bp = b.data() + p * cols;
+      float v[8] = {};
+      for (std::int64_t j = 0; j < full; ++j) v[j % 8] = std::fma(dci[j], bp[j], v[j % 8]);
+      float s = ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+      for (std::int64_t j = full; j < cols; ++j) s = std::fma(dci[j], bp[j], s);
+      da[static_cast<std::size_t>(i * inner + p)] += s;
+    }
+  }
+  return da;
+}
+
+// The AVX2 dB order, one element at a time: from its current value,
+// std::fma over i ascending, skipping a[i,p] == 0.
+std::vector<float> reference_db(const std::vector<float>& dc, const std::vector<float>& a,
+                                std::vector<float> db, std::int64_t rows, std::int64_t inner,
+                                std::int64_t cols) {
+  for (std::int64_t p = 0; p < inner; ++p) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      float& acc = db[static_cast<std::size_t>(p * cols + j)];
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const float aip = a[static_cast<std::size_t>(i * inner + p)];
+        if (aip != 0.0f) acc = std::fma(aip, dc[static_cast<std::size_t>(i * cols + j)], acc);
+      }
+    }
+  }
+  return db;
+}
+
 std::vector<std::int8_t> random_codes(std::size_t n, Rng& rng) {
   std::vector<std::int8_t> v(n);
   for (std::int8_t& x : v) x = static_cast<std::int8_t>(rng.uniform_int(255) - 127);
@@ -100,6 +141,9 @@ TEST(BackendFuzz, Fp32KernelsAgreeWithinTolerance) {
   if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
   const exec::KernelBackend& scalar = exec::scalar_backend();
   Rng rng(2024);
+  // The backward inputs come from their own stream, so the sampled shapes
+  // and the forward inputs do not depend on them.
+  Rng grad_rng(2025);
   for (const std::int64_t m : kBatchRows) {
     for (const std::int64_t k : kDims) {
       for (const std::int64_t n : kDims) {
@@ -126,6 +170,24 @@ TEST(BackendFuzz, Fp32KernelsAgreeWithinTolerance) {
         scalar.linear_relu_fwd(a.data(), b.data(), bias.data(), o_scalar.data(), m, k, n);
         avx2->linear_relu_fwd(a.data(), b.data(), bias.data(), o_avx2.data(), m, k, n);
         expect_rel_close(o_scalar, o_avx2, 1e-5f, "linear_relu_fwd", m, k, n);
+
+        // dA(m,k) += dC B^T and dB(k,n) += A^T dC, both from a dirty gradient
+        // because both kernels accumulate.
+        const auto dc = zeros ? random_floats_with_zeros(static_cast<std::size_t>(m * n), grad_rng)
+                              : random_floats(static_cast<std::size_t>(m * n), grad_rng);
+        const auto da = random_floats(static_cast<std::size_t>(m * k), grad_rng);
+        const auto db = random_floats(static_cast<std::size_t>(k * n), grad_rng);
+        std::vector<float> g_scalar = da;
+        std::vector<float> g_avx2 = da;
+        scalar.matmul_da(dc.data(), b.data(), g_scalar.data(), m, k, n);
+        avx2->matmul_da(dc.data(), b.data(), g_avx2.data(), m, k, n);
+        expect_rel_close(g_scalar, g_avx2, 1e-5f, "matmul_da", m, k, n);
+
+        g_scalar = db;
+        g_avx2 = db;
+        scalar.matmul_db(dc.data(), a.data(), g_scalar.data(), m, k, n);
+        avx2->matmul_db(dc.data(), a.data(), g_avx2.data(), m, k, n);
+        expect_rel_close(g_scalar, g_avx2, 1e-5f, "matmul_db", m, k, n);
       }
     }
   }
@@ -193,6 +255,60 @@ TEST(BackendFuzz, Avx2ForwardSkipsZerosOnNegativeZeroAccumulator) {
       avx2->linear_relu_fwd(a.data(), b.data(), bias.data(), o.data(), m, k, n);
       expect_bitwise(reference_fwd(a, b, bias.data(), true, m, k, n), o, "linear_relu_fwd", m, k,
                      n);
+    }
+  }
+}
+
+// The AVX2 backward kernels keep every element's exact sequence whatever
+// their blocking, so they match the reference bit for bit on every shape,
+// from a dirty gradient and with ±0.0 and ±1e-30 inputs.
+TEST(BackendFuzz, Avx2BackwardKernelsMatchReferenceBitwise) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  Rng rng(5059);
+  for (const std::int64_t m : kBatchRows) {
+    for (const std::int64_t k : kDims) {
+      for (const std::int64_t n : kDims) {
+        const auto dc = random_floats_with_zeros(static_cast<std::size_t>(m * n), rng);
+        const auto a = random_floats_with_zeros(static_cast<std::size_t>(m * k), rng);
+        const auto b = random_floats_with_zeros(static_cast<std::size_t>(k * n), rng);
+        const auto da0 = random_floats_with_zeros(static_cast<std::size_t>(m * k), rng);
+        const auto db0 = random_floats_with_zeros(static_cast<std::size_t>(k * n), rng);
+
+        std::vector<float> da = da0;
+        avx2->matmul_da(dc.data(), b.data(), da.data(), m, k, n);
+        expect_bitwise(reference_da(dc, b, da0, m, k, n), da, "matmul_da", m, k, n);
+
+        std::vector<float> db = db0;
+        avx2->matmul_db(dc.data(), a.data(), db.data(), m, k, n);
+        expect_bitwise(reference_db(dc, a, db0, m, k, n), db, "matmul_db", m, k, n);
+      }
+    }
+  }
+}
+
+// The dB zero-skip is observable only on a -0.0 gradient: every product
+// here is +0.0 (+0.0 x 1 or -0.0 x -1), and fma(±0.0, x, -0.0) would turn
+// the -0.0 into +0.0. An all-zero A must leave a -0.0 dB as it is, for
+// either sign of zero, in every column panel and row block.
+TEST(BackendFuzz, Avx2MatmulDbSkipsZerosOnNegativeZeroGradient) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  for (const std::int64_t m : kBatchRows) {
+    for (const std::int64_t k : kDims) {
+      for (const std::int64_t n : kDims) {
+        std::vector<float> a(static_cast<std::size_t>(m * k));
+        std::vector<float> dc(static_cast<std::size_t>(m * n));
+        for (std::int64_t i = 0; i < m; ++i) {
+          const bool odd = i % 2 == 1;
+          std::fill_n(a.begin() + i * k, k, odd ? -0.0f : 0.0f);
+          std::fill_n(dc.begin() + i * n, n, odd ? -1.0f : 1.0f);
+        }
+        std::vector<float> db(static_cast<std::size_t>(k * n), -0.0f);
+        avx2->matmul_db(dc.data(), a.data(), db.data(), m, k, n);
+        for (const float v : db)
+          ASSERT_TRUE(v == 0.0f && std::signbit(v)) << "m=" << m << " k=" << k << " n=" << n;
+      }
     }
   }
 }
