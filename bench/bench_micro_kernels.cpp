@@ -259,6 +259,26 @@ void BM_ExecBackwardMatmul(benchmark::State& state, bool grad_b) {
 BENCHMARK_CAPTURE(BM_ExecBackwardMatmul, db, true)->Args({32, 32})->Args({32, 8})->Args({64, 32});
 BENCHMARK_CAPTURE(BM_ExecBackwardMatmul, da, false)->Args({32, 32})->Args({32, 8})->Args({64, 32});
 
+// The Performer's FAVOR+ feature pass at the served shape: one head's
+// N = 800 rows (a bulk-screen batch of 16 graphs has about 801 nodes), dh = 8
+// and fm = 16. Outside the micro gate's pinned filter; exported as
+// exec.favor_fwd.real_ns.
+void BM_ExecFavorFeatures(benchmark::State& state) {
+  const std::int64_t rows = 800, dh = 8, fm = 16;
+  Rng rng(15);
+  std::vector<float> u(static_cast<std::size_t>(rows * dh)),
+      proj(static_cast<std::size_t>(rows * fm)), e(proj.size()), phi(proj.size());
+  for (float& v : u) v = 0.5f * rng.normal();
+  for (float& v : proj) v = rng.normal();
+  const exec::KernelBackend& backend = exec::select_backend();
+  for (auto _ : state) {
+    backend.favor_fwd(proj.data(), u.data(), e.data(), phi.data(), rows, dh, fm, 0.25f);
+    benchmark::DoNotOptimize(phi.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExecFavorFeatures);
+
 // Plan-shaped buffer set: ~200 tensors with staggered liveness.
 std::vector<exec::ArenaRequest> arena_requests() {
   std::vector<exec::ArenaRequest> reqs;
@@ -556,7 +576,8 @@ int main(int argc, char** argv) {
                         cgps::MetricDirection::kLowerIsBetter);
     // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
     // kernel pairs, arena vs heap binding, whole-model planned vs eager, the
-    // narrow forward matmuls and the training-shaped backward matmuls.
+    // narrow forward matmuls, the training-shaped backward matmuls and the
+    // FAVOR+ feature pass.
     static const std::pair<const char*, const char*> kExecAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
@@ -577,6 +598,7 @@ int main(int argc, char** argv) {
         {"BM_ExecBackwardMatmul/da/32/32", "exec.matmul_da.32x32.real_ns"},
         {"BM_ExecBackwardMatmul/da/32/8", "exec.matmul_da.32x8.real_ns"},
         {"BM_ExecBackwardMatmul/da/64/32", "exec.matmul_da.64x32.real_ns"},
+        {"BM_ExecFavorFeatures", "exec.favor_fwd.real_ns"},
     };
     for (const auto& [bench, key] : kExecAliases) {
       if (row.name == bench)

@@ -29,6 +29,17 @@
 //     explicit fma chain over the cols % 8 tail, j ascending; one add into
 //     dA. Eight p run together and one transpose-add reduces them, which
 //     never changes that sequence (the same test checks a reference).
+//   * favor_fwd is the exact scalar sequence in both backends: half_i =
+//     0.5 * (sum of u[i,j]^2, each square rounded, j ascending from +0.0),
+//     then e = exp(proj - half_i), phi = e * scale. The AVX2 exp is exp8, a
+//     lane-for-lane port of glibc's expf (the table-driven double-precision
+//     algorithm of glibc >= 2.27, in the FMA build its ifunc picks on AVX2
+//     CPUs); an 8-lane group holding |x| >= 88, inf or NaN is recomputed
+//     with std::exp. gate_chain_fwd shares one exp8(-|v|) between
+//     kern::sigmoid1's two branches. With glibc >= 2.27 on an FMA CPU both
+//     kernels therefore match scalar bit for bit on every non-NaN output
+//     (a NaN may differ in sign); test_backend_fuzz checks every float with
+//     |x| < 88 in its disabled exhaustive case.
 //   * No allocation anywhere in a kernel body: every buffer, including
 //     scratch, is carved from the plan arena by the caller
 //     (tools/cgps_lint enforces this for src/exec/backend_*.cpp).
@@ -64,6 +75,13 @@ class KernelBackend {
   // Both outputs are materialized (eta feeds the denominator scatter).
   virtual void gate_chain_fwd(const float* e_hat, const float* lm, float* eta, float* msg,
                               std::int64_t count) const = 0;
+  // FAVOR+ features of `rows` rows: half_i = 0.5 * sum_j u[i,j]^2 over u's
+  // dh columns, e = exp(proj - half_i) and phi = e * scale over the fm
+  // feature columns. Both outputs are materialized (the exp backward reads
+  // e, the matmul backwards read phi). `proj` may alias `e`.
+  virtual void favor_fwd(const float* proj, const float* u, float* e, float* phi,
+                         std::int64_t rows, std::int64_t dh, std::int64_t fm,
+                         float scale) const = 0;
 
   // Int8 fused linear with fp32 accumulation (src/exec/quant.hpp owns the
   // quantization format). xq is the per-row-quantized activation matrix

@@ -6,8 +6,10 @@
 // element, so results differ from scalar by rounding only (planned AVX2 vs
 // eager agrees to ~1e-5 relative, gradcheck-validated). The parallel
 // partitioning and the element iteration order are identical to kern::, so
-// results are still deterministic at every thread count. No allocation
-// anywhere in this file (cgps_lint: exec-kernel-alloc).
+// results are still deterministic at every thread count. favor_fwd and
+// gate_chain_fwd re-associate nothing: with exp8 below they match scalar bit
+// for bit on every non-NaN output. No allocation anywhere in this file
+// (cgps_lint: exec-kernel-alloc).
 #include "exec/backend.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -212,6 +214,12 @@ inline void rows_db(const float* dc, const float* a, float* db, std::int64_t p0,
     panel_db<kBlockRows<0>, 0>(dc + j, a, db + j, count, rows, inner, cols);
 }
 
+// Lanes [0, n) of a maskload/maskstore mask, n <= 8.
+inline __m256i lane_mask(std::int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<std::int32_t>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 // Register-blocked dA micro-kernel. Every dA element follows one fixed
 // sequence: eight lanes start at +0.0, and lane l takes acc = fma(dc[i,j],
 // b[p,j], acc) for the column j = 8c + l of each full 8-column chunk c,
@@ -246,8 +254,7 @@ inline __m256 hsum8x8(const __m256 (&acc)[8]) {
 template <int P>
 inline void block_da(const float* dc, const float* b, float* da, std::int64_t rows,
                      std::int64_t inner, std::int64_t cols) {
-  const __m256i mask =
-      _mm256_cmpgt_epi32(_mm256_set1_epi32(P), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i mask = lane_mask(P);
   for (std::int64_t i = 0; i < rows; ++i) {
     const float* dci = dc + i * cols;
     float* dai = da + i * inner;
@@ -320,6 +327,114 @@ inline std::int32_t dot_q8(const std::int8_t* x, const std::int8_t* w, std::int6
   return sum;
 }
 
+// exp8: expf on eight lanes, bit for bit glibc's (sysdeps/ieee754/flt-32/
+// e_expf.c, the table-driven double-precision algorithm of glibc >= 2.27, in
+// the FMA build its ifunc picks on AVX2 CPUs). In double, z = x * 32/ln2 is
+// split as k + r with k = round(z) (the 1.5 * 2^52 shift); then exp(x) =
+// 2^(k/32) * 2^(r/32), the first factor a table entry with k's high bits
+// added to its exponent field, the second a cubic in r, and one rounding to
+// float. r must be the single fused multiply-subtract the contracted C
+// computes: a separate multiply and subtract is one ulp off at x =
+// 0x1.04845ep+5 and -0x1.f8cbb2p+5. glibc takes separate paths for |x| >= 88,
+// inf and NaN, so an 8-lane group holding any of them is recomputed with
+// std::exp.
+
+// kExpTable[i] = bits(2^(i/32)) - (i << 47), so 2^(k/32) is the double with
+// bits kExpTable[k % 32] + (k << 47).
+alignas(32) constexpr std::uint64_t kExpTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double kExpInvLn2N = 0x1.71547652b82fep+0 * 32;  // 32 / ln 2
+constexpr double kExpShift = 0x1.8p+52;                     // rounds z to an integer
+// glibc's poly_scaled: 2^(r/32) ~= C0 r^3 + C1 r^2 + C2 r + 1.
+constexpr double kExpC0 = 0x1.c6af84b912394p-5 / (32 * 32 * 32);
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-3 / (32 * 32);
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-1 / 32;
+// Bits of 88.0f: lanes whose |x| bits reach it take glibc's special paths.
+constexpr std::int32_t kExpSpecialBits = 0x42b00000;
+
+// Four lanes of the fast path, |x| < 88.
+inline __m128 exp4(__m128 x) {
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d inv_ln2n = _mm256_set1_pd(kExpInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  const __m256d kd_shifted = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd_shifted);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, _mm256_sub_pd(kd_shifted, shift));
+  const __m256i t = _mm256_i64gather_epi64(reinterpret_cast<const long long*>(kExpTable),
+                                           _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64(ki, 47)));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+}
+
+inline __m256 exp8(__m256 x) {
+  const __m256i abs_bits =
+      _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fffffff));
+  const __m256i special = _mm256_cmpgt_epi32(abs_bits, _mm256_set1_epi32(kExpSpecialBits - 1));
+  if (!_mm256_testz_si256(special, special)) {
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, x);
+    for (float& v : lanes) v = std::exp(v);
+    return _mm256_load_ps(lanes);
+  }
+  return _mm256_set_m128(exp4(_mm256_extractf128_ps(x, 1)), exp4(_mm256_castps256_ps128(x)));
+}
+
+// 0.5 * sum_j u[j]^2 over j ascending from +0.0, each square rounded on its
+// own as in the scalar backend. A plain u * u would be fused into the add in
+// this -mfma TU; fma(u, u, -0.0) is exactly the rounded square (adding -0.0
+// changes no product, not even +0.0) and its result is never fused again.
+inline float half_sq_norm(const float* u, std::int64_t dh) {
+  float sum = 0.0f;
+  for (std::int64_t j = 0; j < dh; ++j) sum += std::fma(u[j], u[j], -0.0f);
+  return sum * 0.5f;
+}
+
+// Eight lanes, or the lanes of `mask` when Masked (a row or chunk tail).
+template <bool Masked>
+inline __m256 load8(const float* p, __m256i mask) {
+  if constexpr (Masked) return _mm256_maskload_ps(p, mask);
+  else return _mm256_loadu_ps(p);
+}
+template <bool Masked>
+inline void store8(float* p, __m256i mask, __m256 v) {
+  if constexpr (Masked) _mm256_maskstore_ps(p, mask, v);
+  else _mm256_storeu_ps(p, v);
+}
+
+// e = exp8(proj - half), phi = e * scale.
+template <bool Masked>
+inline void favor8(const float* proj, __m256 half, __m256 scale, float* e, float* phi,
+                   __m256i mask) {
+  const __m256 ev = exp8(_mm256_sub_ps(load8<Masked>(proj, mask), half));
+  store8<Masked>(e, mask, ev);
+  store8<Masked>(phi, mask, _mm256_mul_ps(ev, scale));
+}
+
+// eta = sigmoid(v), msg = eta * lm. kern::sigmoid1's two branches share
+// e = exp(-|v|): 1 / (1 + e) for v >= 0, e / (1 + e) otherwise.
+template <bool Masked>
+inline void gate8(const float* v, const float* lm, float* eta, float* msg, __m256i mask) {
+  const __m256 x = load8<Masked>(v, mask);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = exp8(_mm256_or_ps(x, _mm256_set1_ps(-0.0f)));
+  const __m256 nonneg = _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GE_OQ);
+  const __m256 s = _mm256_div_ps(_mm256_blendv_ps(e, one, nonneg), _mm256_add_ps(one, e));
+  store8<Masked>(eta, mask, s);
+  store8<Masked>(msg, mask, _mm256_mul_ps(s, load8<Masked>(lm, mask)));
+}
+
 class Avx2Backend final : public KernelBackend {
  public:
   const char* name() const override { return "avx2"; }
@@ -365,13 +480,26 @@ class Avx2Backend final : public KernelBackend {
 
   void gate_chain_fwd(const float* e_hat, const float* lm, float* eta, float* msg,
                       std::int64_t count) const override {
-    // The sigmoid is exp-bound, not SIMD-bound; the win here is the single
-    // fused pass, same as scalar.
     par::parallel_for(0, count, par::grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const float s = kern::sigmoid1(e_hat[i]);
-        eta[i] = s;
-        msg[i] = s * lm[i];
+      const __m256i tail = lane_mask((hi - lo) % 8);
+      std::int64_t i = lo;
+      for (; i + 8 <= hi; i += 8) gate8<false>(e_hat + i, lm + i, eta + i, msg + i, tail);
+      if (i < hi) gate8<true>(e_hat + i, lm + i, eta + i, msg + i, tail);
+    });
+  }
+
+  void favor_fwd(const float* proj, const float* u, float* e, float* phi, std::int64_t rows,
+                 std::int64_t dh, std::int64_t fm, float scale) const override {
+    const __m256i tail = lane_mask(fm % 8);
+    const __m256 vscale = _mm256_set1_ps(scale);
+    par::parallel_for(0, rows, par::grain_for(fm), [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const __m256 half = _mm256_set1_ps(half_sq_norm(u + i * dh, dh));
+        const std::int64_t o = i * fm;
+        std::int64_t j = 0;
+        for (; j + 8 <= fm; j += 8)
+          favor8<false>(proj + o + j, half, vscale, e + o + j, phi + o + j, tail);
+        if (j < fm) favor8<true>(proj + o + j, half, vscale, e + o + j, phi + o + j, tail);
       }
     });
   }

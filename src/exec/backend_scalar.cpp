@@ -9,6 +9,8 @@
 #include "tensor/kernels.hpp"
 #include "util/parallel.hpp"
 
+#include <cmath>
+
 namespace cgps::exec {
 
 namespace {
@@ -61,6 +63,25 @@ class ScalarBackend final : public KernelBackend {
         const float s = kern::sigmoid1(e_hat[i]);
         eta[i] = s;
         msg[i] = s * lm[i];
+      }
+    });
+  }
+
+  void favor_fwd(const float* proj, const float* u, float* e, float* phi, std::int64_t rows,
+                 std::int64_t dh, std::int64_t fm, float scale) const override {
+    // The eager sequence u * u, row_sum, * 0.5, sub_colvec, exp, * scale, one
+    // row at a time. This TU is built without FMA, so each square rounds.
+    par::parallel_for(0, rows, par::grain_for(fm), [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const float* ui = u + i * dh;
+        float sum = 0.0f;
+        for (std::int64_t j = 0; j < dh; ++j) sum += ui[j] * ui[j];
+        const float half = sum * 0.5f;
+        for (std::int64_t j = 0; j < fm; ++j) {
+          const float ev = std::exp(kern::sub_colvec1(proj[i * fm + j], half));
+          e[i * fm + j] = ev;
+          phi[i * fm + j] = ev * scale;
+        }
       }
     });
   }

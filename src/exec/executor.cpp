@@ -627,33 +627,6 @@ void Executor::fwd_performer(int id) {
   float* base = aux_[static_cast<std::size_t>(id)];
   const float s_qk = 1.0f / std::pow(static_cast<float>(dh), 0.25f);
   const float inv_sqrt_m = 1.0f / std::sqrt(static_cast<float>(fm));
-  // favor+(u): e = exp(u omega - ||u||^2/2), phi = e / sqrt(m); both saved
-  // (exp backward reads its output, the matmul backwards read phi).
-  const auto favor = [&](const float* u, std::int64_t len, float* e_save, float* phi_save,
-                         const float* omega) {
-    float* proj = base + L.lm_a;
-    backend_->matmul_fwd(u, omega, proj, len, dh, fm);
-    float* sq = base + L.ldh_a;
-    par::parallel_for(0, len * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) sq[i] = u[i] * u[i];
-    });
-    float* rs = base + L.l_a;
-    kern::row_sum_fwd(sq, rs, len, dh);
-    par::parallel_for(0, len, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) rs[i] *= 0.5f;
-    });
-    par::parallel_for(0, len, par::grain_for(fm), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float half = rs[i];
-        for (std::int64_t j = 0; j < fm; ++j) {
-          const float sh = kern::sub_colvec1(proj[i * fm + j], half);
-          const float ev = std::exp(sh);
-          e_save[i * fm + j] = ev;
-          phi_save[i * fm + j] = ev * inv_sqrt_m;
-        }
-      }
-    });
-  };
   for (std::int64_t h = 0; h < H; ++h) {
     float* q = base + L.q + h * N * dh;
     float* k = base + L.k + h * N * dh;
@@ -670,18 +643,25 @@ void Executor::fwd_performer(int id) {
     par::parallel_for(0, N * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
       for (std::int64_t i = lo; i < hi; ++i) k[i] *= s_qk;
     });
+    // favor+(u): e = exp(u omega - ||u||^2/2), phi = e / sqrt(m); both saved
+    // (exp backward reads its output, the matmul backwards read phi). Every
+    // step is row-wise, so one pass over all N rows of the head gives each
+    // graph's rows the bits a per-graph pass would; u omega lands in e.
     const float* omega = d.mh_omega[static_cast<std::size_t>(h)].data().data();
+    const auto favor = [&](const float* u, std::int64_t e_save, std::int64_t phi_save) {
+      float* e = base + e_save + h * N * fm;
+      backend_->matmul_fwd(u, omega, e, N, dh, fm);
+      backend_->favor_fwd(e, u, e, base + phi_save + h * N * fm, N, dh, fm, inv_sqrt_m);
+    };
+    favor(q, L.e_q, L.phi_q);
+    favor(k, L.e_k, L.phi_k);
     float* head_out = base + L.ndh_a;
     for (std::int64_t g = 0; g < g_; ++g) {
       const std::int64_t s = batch_->graph_ptr[static_cast<std::size_t>(g)];
       const std::int64_t len = batch_->graph_ptr[static_cast<std::size_t>(g) + 1] - s;
       if (len == 0) continue;
-      float* e_q = base + L.e_q + h * N * fm + s * fm;
-      float* phi_q = base + L.phi_q + h * N * fm + s * fm;
-      favor(q + s * dh, len, e_q, phi_q, omega);
-      float* e_k = base + L.e_k + h * N * fm + s * fm;
-      float* phi_k = base + L.phi_k + h * N * fm + s * fm;
-      favor(k + s * dh, len, e_k, phi_k, omega);
+      const float* phi_q = base + L.phi_q + h * N * fm + s * fm;
+      const float* phi_k = base + L.phi_k + h * N * fm + s * fm;
       float* phikt = base + L.ml_a;
       kern::transpose_fwd(phi_k, phikt, len, fm);
       float* kv = base + L.kv + (h * g_ + g) * fm * dh;

@@ -57,7 +57,7 @@ Netlist read_netlist(BinaryReader& r) {
     d.multiplier = static_cast<std::int32_t>(r.read_u32());
     d.fingers = static_cast<std::int32_t>(r.read_u32());
     d.value = r.read_f64();
-    const std::uint64_t n_pins = r.read_u64();
+    const std::uint64_t n_pins = r.read_length(8);  // role, net
     d.pins.reserve(n_pins);
     for (std::uint64_t p = 0; p < n_pins; ++p) {
       Pin pin;
@@ -76,7 +76,7 @@ void write_f64_vec(BinaryWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_f64_vec(BinaryReader& r) {
-  std::vector<double> v(r.read_u64());
+  std::vector<double> v(r.read_length(sizeof(double)));
   for (double& x : v) x = r.read_f64();
   return v;
 }
@@ -124,7 +124,7 @@ CircuitDataset load_dataset(const std::string& path, const DatasetOptions& optio
   ds.is_train = r.read_u32() != 0;
   ds.netlist = read_netlist(r);
 
-  const std::uint64_t n_links = r.read_u64();
+  const std::uint64_t n_links = r.read_length(20);  // kind, a, b, cap
   ds.extraction.links.reserve(n_links);
   for (std::uint64_t i = 0; i < n_links; ++i) {
     CouplingLink link;
@@ -137,7 +137,7 @@ CircuitDataset load_dataset(const std::string& path, const DatasetOptions& optio
   ds.extraction.net_ground_cap = read_f64_vec(r);
   ds.extraction.pin_ground_cap = read_f64_vec(r);
 
-  const std::uint64_t n_samples = r.read_u64();
+  const std::uint64_t n_samples = r.read_length(24);  // node_a, node_b, type, label, cap
   ds.link_samples.reserve(n_samples);
   for (std::uint64_t i = 0; i < n_samples; ++i) {
     LinkSample s;
@@ -148,7 +148,7 @@ CircuitDataset load_dataset(const std::string& path, const DatasetOptions& optio
     s.cap = r.read_f64();
     ds.link_samples.push_back(s);
   }
-  const std::uint64_t n_nodes = r.read_u64();
+  const std::uint64_t n_nodes = r.read_length(12);  // node, cap
   ds.node_samples.reserve(n_nodes);
   for (std::uint64_t i = 0; i < n_nodes; ++i) {
     NodeSample s;

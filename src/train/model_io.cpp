@@ -3,7 +3,9 @@
 #include "train/config_io.hpp"
 #include "util/serialize.hpp"
 
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace cgps {
@@ -14,6 +16,40 @@ constexpr std::uint32_t kBundleMagicV2 = 0x324D4743;  // "CGM2"
 constexpr std::uint32_t kBundleMagicV3 = 0x334D4743;  // "CGM3"
 constexpr std::uint32_t kBundleVersionV2 = 2;
 constexpr std::uint32_t kBundleVersionV3 = 3;
+
+// Why a quant entry does not fit its (rows x cols) parameter, or "" if it
+// does. The int8 kernels index codes and scales by the parameter's shape.
+std::string quant_entry_misfit(const exec::QuantizedTensor& qt, std::int64_t rows,
+                               std::int64_t cols) {
+  if (qt.rows != rows || qt.cols != cols)
+    return "is " + std::to_string(qt.rows) + "x" + std::to_string(qt.cols) + ", the parameter " +
+           std::to_string(rows) + "x" + std::to_string(cols);
+  const std::int64_t n_scales = qt.layout == exec::QuantLayout::kLinearT ? cols : rows;
+  if (qt.scales.size() != static_cast<std::size_t>(n_scales))
+    return "has " + std::to_string(qt.scales.size()) + " scales, expected " +
+           std::to_string(n_scales);
+  if (qt.q.size() != static_cast<std::size_t>(rows * cols))
+    return "has " + std::to_string(qt.q.size()) + " codes, expected " +
+           std::to_string(rows * cols);
+  return "";
+}
+
+// A v3 entry that does not fit the model is rejected at load, where its name
+// is known, rather than read past its end at serve time.
+void check_quant_entries(const CircuitGps& model, const exec::QuantStore& quant,
+                         const std::string& path) {
+  std::map<std::string, std::pair<std::int64_t, std::int64_t>> shapes;
+  for (const auto& [name, p] : model.named_parameters()) shapes[name] = {p.rows(), p.cols()};
+  for (const auto& [name, qt] : quant.entries) {
+    const auto it = shapes.find(name);
+    const std::string misfit = it == shapes.end()
+                                   ? "names no model parameter"
+                                   : quant_entry_misfit(qt, it->second.first, it->second.second);
+    if (!misfit.empty())
+      throw std::runtime_error("load_model_bundle: quant entry '" + name + "' " + misfit +
+                               " in " + path);
+  }
+}
 }  // namespace
 
 void save_model_bundle(const CircuitGps& model, const std::string& path,
@@ -91,6 +127,7 @@ ModelBundle load_model_bundle_full(const std::string& path) {
   }
   const ExperimentConfig config = parse_experiment_config(config_text);
   bundle.model = std::make_unique<CircuitGps>(config.gps);
+  check_quant_entries(*bundle.model, bundle.quant, path);
   nn::load_checkpoint(*bundle.model, reader);
   return bundle;
 }

@@ -43,12 +43,13 @@ class BinaryReader {
   std::vector<float> read_f32_vector();
   std::vector<std::int64_t> read_i64_vector();
   std::vector<std::int8_t> read_i8_vector();
+  // Reads a u64 element count and rejects it unless that many elements of
+  // `elem_size` bytes fit in the bytes left. Callers that size a container
+  // from a count of records pass the record's on-disk size.
+  std::uint64_t read_length(std::size_t elem_size);
 
  private:
   void read_raw(void* data, std::size_t n);
-  // Reads a u64 element count and rejects it unless that many elements of
-  // `elem_size` bytes fit in the bytes left.
-  std::uint64_t read_length(std::size_t elem_size);
   std::ifstream in_;
   std::uint64_t remaining_ = 0;  // bytes not yet read
 };

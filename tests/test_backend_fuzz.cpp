@@ -5,7 +5,8 @@
 // and backward, must also match, bit for bit, an in-test reference of their
 // per-element sequence.
 // The int8 kernels share their one fp32 combine (q8_combine) and must match
-// bitwise.
+// bitwise, and so must the exp kernels (favor_fwd, gate_chain_fwd), whose
+// AVX2 exp is a port of glibc's expf.
 #include "exec/backend.hpp"
 #include "util/rng.hpp"
 
@@ -311,6 +312,138 @@ TEST(BackendFuzz, Avx2MatmulDbSkipsZerosOnNegativeZeroGradient) {
       }
     }
   }
+}
+
+// Inputs at the edges of exp8's fast path: signed zeros and tiny values, |x|
+// just below, at and just above 88 (where the scalar fallback starts),
+// expf's overflow (88.72) and underflow (-103.97) thresholds, infinities,
+// NaN, and the two inputs whose r needs the single fused multiply-subtract.
+const std::vector<float> kExpEdges = {
+    0.0f, -0.0f, 1e-30f, -1e-30f,
+    std::nextafter(88.0f, 0.0f), std::nextafter(-88.0f, 0.0f), 88.0f, -88.0f,
+    std::nextafter(88.0f, 100.0f), std::nextafter(-88.0f, -100.0f),
+    88.72f, 0x1.62e42ep6f, std::nextafter(0x1.62e42ep6f, 100.0f), -103.97f, -0x1.9fe368p6f,
+    -104.0f, INFINITY, -INFINITY, NAN, 0x1.04845ep+5f, -0x1.f8cbb2p+5f};
+
+// uniform(-4, 4) with about one entry in `edge_every` drawn from kExpEdges,
+// so most 8-lane groups stay on the fast path and some take the fallback.
+std::vector<float> exp_inputs(std::size_t n, Rng& rng, int edge_every) {
+  std::vector<float> v = random_floats(n, rng, -4.0, 4.0);
+  for (float& x : v)
+    if (rng.uniform_int(edge_every) == 0)
+      x = kExpEdges[static_cast<std::size_t>(rng.uniform_int(kExpEdges.size()))];
+  return v;
+}
+
+// Bitwise, except that a NaN need only meet a NaN: its sign bit depends on
+// the operand order the compiler picks for a commutative add.
+void expect_bitwise_or_nan(const std::vector<float>& want, const std::vector<float>& got,
+                           const char* what, std::int64_t rows, std::int64_t dh,
+                           std::int64_t fm) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " rows=" << rows << " dh=" << dh
+                                      << " fm=" << fm << " at " << i << ": " << got[i];
+      continue;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want[i]), std::bit_cast<std::uint32_t>(got[i]))
+        << what << " rows=" << rows << " dh=" << dh << " fm=" << fm << " at " << i << ": "
+        << want[i] << " vs " << got[i];
+  }
+}
+
+// favor_fwd and gate_chain_fwd route their exp through exp8, a port of
+// glibc's expf, so AVX2 matches scalar bit for bit on every non-NaN output:
+// every fm from 1 to 33 (the full 8-lane groups and every masked tail), dh
+// with and without a tail, row counts around 8, and edge inputs that take
+// the scalar fallback. Half the u rows are zero, so proj reaches exp as it is.
+TEST(BackendFuzz, Avx2ExpKernelsMatchScalarBitwise) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  const exec::KernelBackend& scalar = exec::scalar_backend();
+  Rng rng(6067);
+  for (const std::int64_t rows : {0, 1, 7, 8, 9}) {
+    for (const std::int64_t dh : {1, 8, 9, 16}) {
+      for (std::int64_t fm = 1; fm <= 33; ++fm) {
+        const auto proj = exp_inputs(static_cast<std::size_t>(rows * fm), rng, 8);
+        auto u = exp_inputs(static_cast<std::size_t>(rows * dh), rng, 64);
+        for (std::int64_t i = 0; i < rows; ++i)
+          if (rng.uniform() < 0.5) std::fill_n(u.begin() + i * dh, dh, 0.0f);
+        const float scale = 1.0f / std::sqrt(static_cast<float>(fm));
+        std::vector<float> e_scalar(proj.size()), phi_scalar(proj.size());
+        std::vector<float> e_avx2(proj.size()), phi_avx2(proj.size());
+        scalar.favor_fwd(proj.data(), u.data(), e_scalar.data(), phi_scalar.data(), rows, dh, fm,
+                         scale);
+        avx2->favor_fwd(proj.data(), u.data(), e_avx2.data(), phi_avx2.data(), rows, dh, fm,
+                        scale);
+        expect_bitwise_or_nan(e_scalar, e_avx2, "favor_fwd e", rows, dh, fm);
+        expect_bitwise_or_nan(phi_scalar, phi_avx2, "favor_fwd phi", rows, dh, fm);
+
+        // In place, as the executor calls it: proj aliases e.
+        std::vector<float> e_inplace = proj;
+        avx2->favor_fwd(e_inplace.data(), u.data(), e_inplace.data(), phi_avx2.data(), rows, dh,
+                        fm, scale);
+        expect_bitwise_or_nan(e_scalar, e_inplace, "favor_fwd in place", rows, dh, fm);
+
+        const auto lm = random_floats(proj.size(), rng);
+        std::vector<float> eta_scalar(proj.size()), msg_scalar(proj.size());
+        std::vector<float> eta_avx2(proj.size()), msg_avx2(proj.size());
+        scalar.gate_chain_fwd(proj.data(), lm.data(), eta_scalar.data(), msg_scalar.data(),
+                              rows * fm);
+        avx2->gate_chain_fwd(proj.data(), lm.data(), eta_avx2.data(), msg_avx2.data(), rows * fm);
+        expect_bitwise_or_nan(eta_scalar, eta_avx2, "gate_chain_fwd eta", rows, dh, fm);
+        expect_bitwise_or_nan(msg_scalar, msg_avx2, "gate_chain_fwd msg", rows, dh, fm);
+      }
+    }
+  }
+}
+
+// favor_fwd with u = 0 and dh = 1 computes e = exp(proj): compare the AVX2
+// kernel with std::exp, bit for bit, on every `stride`-th float with
+// |x| < 88 (both signs) and on `extra`.
+void expect_avx2_exp_matches_std_exp(const exec::KernelBackend& avx2, std::uint32_t stride,
+                                     const std::vector<float>& extra) {
+  constexpr std::int64_t kFm = 64, kRows = 1024;
+  constexpr std::uint32_t kLimit = 0x42b00000;  // bits of 88.0f
+  std::vector<float> x, e(kRows * kFm), phi(kRows * kFm);
+  const std::vector<float> u(kRows, 0.0f);
+  x.reserve(kRows * kFm);
+  const auto flush = [&] {
+    const std::size_t used = x.size();
+    x.resize(kRows * kFm, 0.0f);
+    avx2.favor_fwd(x.data(), u.data(), e.data(), phi.data(), kRows, 1, kFm, 1.0f);
+    for (std::size_t i = 0; i < used; ++i)
+      if (std::bit_cast<std::uint32_t>(e[i]) != std::bit_cast<std::uint32_t>(std::exp(x[i])))
+        FAIL() << "exp(" << std::hexfloat << x[i] << ") = " << e[i] << ", std::exp gives "
+               << std::exp(x[i]);
+    x.clear();
+  };
+  for (const float v : extra) x.push_back(v);
+  for (std::uint32_t bits = 0; bits < kLimit; bits += stride) {
+    if (x.size() + 2 > static_cast<std::size_t>(kRows * kFm)) {
+      flush();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    x.push_back(std::bit_cast<float>(bits));
+    x.push_back(std::bit_cast<float>(bits | 0x80000000u));
+  }
+  flush();
+}
+
+TEST(BackendFuzz, Avx2ExpMatchesStdExp) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  expect_avx2_exp_matches_std_exp(*avx2, 97, {0x1.04845ep+5f, -0x1.f8cbb2p+5f});
+}
+
+// Every float with |x| < 88, about half a minute: run it when the libm
+// changes (CI does, on its AVX2 leg), since exp8 is bitwise only against an
+// expf that computes glibc's algorithm.
+TEST(BackendFuzz, DISABLED_Avx2ExpMatchesStdExpExhaustive) {
+  const exec::KernelBackend* avx2 = exec::avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
+  expect_avx2_exp_matches_std_exp(*avx2, 1, {});
 }
 
 TEST(BackendFuzz, Int8KernelsAreBitwiseIdentical) {

@@ -1,8 +1,12 @@
 #include "train/dataset_cache.hpp"
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <vector>
 
 namespace cgps {
 namespace {
@@ -96,6 +100,59 @@ TEST(DatasetCache, CorruptFileFallsBackToBuild) {
   const CircuitDataset ds = build_dataset_cached(gen::DatasetId::kTimingControl, options, dir);
   EXPECT_GT(ds.netlist.num_devices(), 0);
   std::filesystem::remove_all(dir);
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Every record count the cache sizes a container from, patched to 2^40 in a
+// saved cache, must be rejected with std::runtime_error before anything is
+// allocated (not std::bad_alloc). The counts sit at fixed distances from the
+// end of the file: each is followed by its records (on-disk sizes: pin 8,
+// link 20, ground cap 8, link sample 24, node sample 12) and what comes after.
+TEST(DatasetCache, OversizedCountsThrow) {
+  const DatasetOptions options = options_fixture();
+  const CircuitDataset ds = build_dataset(gen::DatasetId::kTimingControl, options);
+  const std::string path = temp_dir() + "/counts.cgds";
+  save_dataset(ds, path);
+  const std::vector<char> saved = read_bytes(path);
+  ASSERT_FALSE(ds.netlist.devices().empty());
+
+  struct Count {
+    const char* what;
+    std::uint64_t n;
+    std::size_t record;
+  };
+  // Last to first, as they sit before the end of the file.
+  const Count counts[] = {
+      {"node samples", ds.node_samples.size(), 12},
+      {"link samples", ds.link_samples.size(), 24},
+      {"pin ground caps", ds.extraction.pin_ground_cap.size(), 8},
+      {"net ground caps", ds.extraction.net_ground_cap.size(), 8},
+      {"links", ds.extraction.links.size(), 20},
+      {"last device's pins", ds.netlist.devices().back().pins.size(), 8},
+  };
+  std::size_t end = saved.size();
+  for (const Count& c : counts) {
+    const std::size_t at = end - c.n * c.record - sizeof(std::uint64_t);
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, saved.data() + at, sizeof(stored));
+    ASSERT_EQ(stored, c.n) << c.what;
+    std::vector<char> bytes = saved;
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(bytes.data() + at, &huge, sizeof(huge));
+    write_bytes(path, bytes);
+    EXPECT_THROW(load_dataset(path, options), std::runtime_error) << c.what;
+    end = at;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(DatasetCache, BadMagicThrows) {

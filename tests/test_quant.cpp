@@ -326,6 +326,40 @@ TEST(BundleV3, QuantStoreRoundTripsBitStable) {
   EXPECT_EQ(bytes_a, bytes_b);
 }
 
+// The int8 kernels index an entry's codes and scales by its parameter's
+// shape, so an entry that does not fit (one code short, a scale short, the
+// shape transposed, or a name no parameter has) would be read past its end:
+// loading must refuse it and name the entry.
+TEST(BundleV3, EntryThatDoesNotFitTheModelIsRejected) {
+  CircuitGps model(small_config());
+  const exec::QuantStore good = exec::quantize_model(model);
+  ASSERT_FALSE(good.entries.empty());
+  const auto& [name, entry] = *good.entries.begin();
+  ASSERT_NE(entry.rows, entry.cols) << "transposing must change the shape";
+  const std::string path = temp_path("cgps_bundle_v3_misfit.bin");
+  for (int mutation = 0; mutation < 4; ++mutation) {
+    exec::QuantStore store = good;
+    std::string bad_name = name;
+    exec::QuantizedTensor& qt = store.entries.at(name);
+    if (mutation == 0) qt.q.pop_back();
+    if (mutation == 1) qt.scales.pop_back();
+    if (mutation == 2) std::swap(qt.rows, qt.cols);
+    if (mutation == 3) {
+      bad_name = name + ".renamed";
+      store.entries.emplace(bad_name, qt);
+      store.entries.erase(name);
+    }
+    save_model_bundle(model, path, nullptr, &store);
+    try {
+      load_model_bundle_full(path);
+      ADD_FAILURE() << "mutation " << mutation << " of " << name << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad_name), std::string::npos) << e.what();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(BundleV3, V2SavesLoadWithEmptyQuantStore) {
   CircuitGps model(small_config());
   const std::string path = temp_path("cgps_bundle_v2_compat.bin");
