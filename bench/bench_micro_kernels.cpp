@@ -311,7 +311,7 @@ void BM_ExecMallocBind(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecMallocBind);
 
-struct ExecModelFixture {
+struct ExecBenchFixture {
   GpsConfig config;
   std::unique_ptr<CircuitGps> eager_model;
   std::unique_ptr<CircuitGps> planned_model;
@@ -319,7 +319,7 @@ struct ExecModelFixture {
   SubgraphBatch batch;
   std::vector<float> values;
 
-  ExecModelFixture() {
+  ExecBenchFixture() {
     GraphFixture& f = fixture();
     Rng rng(13);
     std::vector<Subgraph> subgraphs;
@@ -343,13 +343,13 @@ struct ExecModelFixture {
   }
 };
 
-ExecModelFixture& exec_fixture() {
-  static ExecModelFixture f;
+ExecBenchFixture& exec_fixture() {
+  static ExecBenchFixture f;
   return f;
 }
 
 void BM_ExecEagerForward(benchmark::State& state) {
-  ExecModelFixture& f = exec_fixture();
+  ExecBenchFixture& f = exec_fixture();
   f.eager_model->set_training(false);
   InferenceGuard guard;
   for (auto _ : state)
@@ -358,7 +358,7 @@ void BM_ExecEagerForward(benchmark::State& state) {
 BENCHMARK(BM_ExecEagerForward);
 
 void BM_ExecPlannedForward(benchmark::State& state) {
-  ExecModelFixture& f = exec_fixture();
+  ExecBenchFixture& f = exec_fixture();
   f.planned_model->set_training(false);
   for (auto _ : state) {
     std::int64_t rows = 0;
@@ -368,7 +368,7 @@ void BM_ExecPlannedForward(benchmark::State& state) {
 BENCHMARK(BM_ExecPlannedForward);
 
 void BM_ExecEagerTrainStep(benchmark::State& state) {
-  ExecModelFixture& f = exec_fixture();
+  ExecBenchFixture& f = exec_fixture();
   CircuitGps& model = *f.eager_model;
   model.set_training(true);
   Adam optimizer(model.trainable_parameters(), 2e-3f);
@@ -384,7 +384,7 @@ void BM_ExecEagerTrainStep(benchmark::State& state) {
 BENCHMARK(BM_ExecEagerTrainStep);
 
 void BM_ExecPlannedTrainStep(benchmark::State& state) {
-  ExecModelFixture& f = exec_fixture();
+  ExecBenchFixture& f = exec_fixture();
   CircuitGps& model = *f.planned_model;
   model.set_training(true);
   Adam optimizer(model.trainable_parameters(), 2e-3f);

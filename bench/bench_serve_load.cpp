@@ -220,10 +220,9 @@ int run_in_process() {
   BenchReport report("serve_load");
   report.set_config("design", gen::dataset_name(kDesignId));
 
-  // The coalescing contract is only bit-exact on the scalar backend; the
-  // CI planned-exec leg runs this gate under CIRCUITGPS_BACKEND=avx2, so
-  // pin the backend here (exec mode is inherited — planned-scalar and eager
-  // are bit-identical by the PR6 executor contract).
+  // The coalescing contract is only bit-exact on the scalar backend, and
+  // CI's avx2 leg runs this gate under CIRCUITGPS_BACKEND=avx2, so pin the
+  // backend here.
   ::setenv("CIRCUITGPS_BACKEND", "scalar", /*overwrite=*/1);
 
   // Model + normalizer, round-tripped through a v2 bundle as cgps_serve
@@ -293,8 +292,8 @@ int run_in_process() {
     }
   }
 
-  // Solo oracle: one eager forward per request, the exact serve code path
-  // at batch size 1.
+  // Solo oracle: one eager forward per request. Planned-scalar equals eager
+  // bit for bit, so this is the serve path at batch size 1.
   const BatchOptions attn_batch_options = batch_options_for(attn_model.config());
   std::int64_t mismatches = 0, ok = 0;
   double mean_value = 0;

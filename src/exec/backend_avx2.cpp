@@ -17,7 +17,6 @@
 #include <cmath>
 #include <immintrin.h>
 
-#include "exec/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "util/parallel.hpp"
 
@@ -292,41 +291,6 @@ inline void panel_da(const float* dc, const float* b, float* da, std::int64_t co
     panel_da<P / 2>(dc, b + p * cols, da + p, count - p, rows, inner, cols);
 }
 
-// Exact horizontal sum of eight int32 lanes (integer adds are associative,
-// so any reduction order gives the same bits).
-inline std::int32_t hsum8i(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-  return _mm_cvtsi128_si32(s);
-}
-
-// Exact int32 dot product of two int8 rows: 32 codes per iteration, each
-// 16-byte half sign-extended to int16 and multiply-added pairwise into int32
-// lanes (products are bounded by 127^2, so the epi16 madd cannot wrap).
-// Bitwise identical to the scalar backend's dot_q8 — only the fp32 combine
-// in q8_combine rounds, and it is shared.
-inline std::int32_t dot_q8(const std::int8_t* x, const std::int8_t* w, std::int64_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t p = 0;
-  for (; p + 32 <= k; p += 32) {
-    const __m256i xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + p));
-    const __m256i wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + p));
-    const __m256i xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-    const __m256i wlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv));
-    const __m256i xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-    const __m256i whi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi));
-  }
-  std::int32_t sum = hsum8i(acc);
-  for (; p < k; ++p)
-    sum += static_cast<std::int32_t>(x[p]) * static_cast<std::int32_t>(w[p]);
-  return sum;
-}
-
 // exp8: expf on eight lanes, bit for bit glibc's (sysdeps/ieee754/flt-32/
 // e_expf.c, the table-driven double-precision algorithm of glibc >= 2.27, in
 // the FMA build its ifunc picks on AVX2 CPUs). In double, z = x * 32/ln2 is
@@ -500,34 +464,6 @@ class Avx2Backend final : public KernelBackend {
         for (; j + 8 <= fm; j += 8)
           favor8<false>(proj + o + j, half, vscale, e + o + j, phi + o + j, tail);
         if (j < fm) favor8<true>(proj + o + j, half, vscale, e + o + j, phi + o + j, tail);
-      }
-    });
-  }
-
-  void linear_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                     const float* sw, const float* bias, float* o, std::int64_t m,
-                     std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int8_t* xi = xq + i * k;
-        float* oi = o + i * n;
-        const float sxi = sx[i];
-        for (std::int64_t j = 0; j < n; ++j)
-          oi[j] = q8_combine(sxi, sw[j], dot_q8(xi, wq + j * k, k), bias[j]);
-      }
-    });
-  }
-
-  void linear_relu_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                          const float* sw, const float* bias, float* o, std::int64_t m,
-                          std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int8_t* xi = xq + i * k;
-        float* oi = o + i * n;
-        const float sxi = sx[i];
-        for (std::int64_t j = 0; j < n; ++j)
-          oi[j] = kern::relu1(q8_combine(sxi, sw[j], dot_q8(xi, wq + j * k, k), bias[j]));
       }
     });
   }

@@ -34,18 +34,6 @@ Executor::Executor(Plan plan) : plan_(std::move(plan)) {
     if (plan_.prog.nodes[id].op == Op::kParam) param_ids_.push_back(static_cast<int>(id));
 }
 
-void Executor::set_quant(const QuantStore* store) {
-  quant_ = store;
-  quant_of_.assign(plan_.prog.nodes.size(), nullptr);
-  if (store == nullptr) return;
-  for (std::size_t id = 0; id < plan_.prog.nodes.size(); ++id) {
-    const NodeDef& d = plan_.prog.nodes[id];
-    if (d.op != Op::kParam) continue;
-    if (const auto it = store->entries.find(d.param_name); it != store->entries.end())
-      quant_of_[id] = &it->second;
-  }
-}
-
 std::int64_t Executor::resolve_rows(RowsSym sym, std::int64_t fixed) const {
   switch (sym) {
     case RowsSym::kFixed: return fixed;
@@ -279,26 +267,6 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
   if (static_cast<std::int64_t>(fused_scratch_.size()) < scratch)
     fused_scratch_.resize(static_cast<std::size_t>(scratch));
 
-  // Activation quantization scratch for the int8 path (grow-only): one
-  // int8 row buffer plus one scale per row of the largest quantized linear.
-  if (quant_ != nullptr) {
-    std::int64_t qx = 0, qm = 0;
-    for (const Step& st : plan_.fwd) {
-      if (st.op != Op::kLinear && st.op != Op::kLinearRelu) continue;
-      const int mm = st.op == Op::kLinear ? st.n1 : st.n2;
-      const NodeDef& dm = plan_.prog.nodes[static_cast<std::size_t>(mm)];
-      if (quant_of_[static_cast<std::size_t>(dm.inputs[1])] == nullptr) continue;
-      const std::int64_t m = rows_[static_cast<std::size_t>(dm.inputs[0])];
-      const std::int64_t k = plan_.prog.nodes[static_cast<std::size_t>(dm.inputs[0])].cols;
-      if (k > kQ8MaxK)
-        throw std::runtime_error("exec: int8 linear inner dim exceeds the exact-int32 bound");
-      qx = std::max(qx, m * k);
-      qm = std::max(qm, m);
-    }
-    if (static_cast<std::int64_t>(qx_.size()) < qx) qx_.resize(static_cast<std::size_t>(qx));
-    if (static_cast<std::int64_t>(qsx_.size()) < qm) qsx_.resize(static_cast<std::size_t>(qm));
-  }
-
   metric_gauge("exec.arena_bytes").set(static_cast<double>(arena_.bound_bytes()));
 }
 
@@ -337,24 +305,6 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
       break;
     case Op::kGather: {
       const std::int64_t count = resolve_rows(d.idx_rows, 0);
-      const QuantizedTensor* qt =
-          quant_ != nullptr ? quant_of_[static_cast<std::size_t>(d.inputs[0])] : nullptr;
-      if (qt != nullptr && qt->layout == QuantLayout::kRows) {
-        // Gather + dequantize in one pass, same partitioning as
-        // kern::gather_fwd. Backend-independent code: int8 results are
-        // identical under scalar and AVX2.
-        const std::int32_t* idx = index_array(d.src);
-        const std::int64_t c = d.cols;
-        const std::int8_t* q = qt->q.data();
-        const float* scales = qt->scales.data();
-        par::parallel_for(0, count, par::grain_for(c), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const std::int64_t r = idx[i];
-            q8_dequantize_row(q + r * c, c, scales[r], out + i * c);
-          }
-        });
-        break;
-      }
       kern::gather_fwd(val_[static_cast<std::size_t>(d.inputs[0])], index_array(d.src), count,
                        d.cols, out);
       break;
@@ -508,28 +458,6 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
       const std::int64_t m = rows_[static_cast<std::size_t>(x)];
       const std::int64_t k = nodes[static_cast<std::size_t>(x)].cols;
       const std::int64_t c = nodes[static_cast<std::size_t>(w)].cols;
-      const QuantizedTensor* qt =
-          quant_ != nullptr ? quant_of_[static_cast<std::size_t>(w)] : nullptr;
-      if (qt != nullptr && qt->layout == QuantLayout::kLinearT) {
-        // Quantize the activation rows here (shared code, not per backend)
-        // then run the int8 kernel on the transposed weight codes.
-        const float* xv = val_[static_cast<std::size_t>(x)];
-        std::int8_t* xq = qx_.data();
-        float* sx = qsx_.data();
-        par::parallel_for(0, m, par::grain_for(k), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            sx[i] = q8_row_scale(xv + i * k, k);
-            q8_quantize_row(xv + i * k, k, sx[i], xq + i * k);
-          }
-        });
-        if (st.op == Op::kLinear)
-          backend_->linear_fwd_q8(xq, sx, qt->q.data(), qt->scales.data(),
-                                  val_[static_cast<std::size_t>(bias)], out, m, k, c);
-        else
-          backend_->linear_relu_fwd_q8(xq, sx, qt->q.data(), qt->scales.data(),
-                                       val_[static_cast<std::size_t>(bias)], out, m, k, c);
-        break;
-      }
       if (st.op == Op::kLinear)
         backend_->linear_fwd(val_[static_cast<std::size_t>(x)],
                              val_[static_cast<std::size_t>(w)],

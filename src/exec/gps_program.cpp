@@ -50,7 +50,6 @@ struct Builder {
     d.cols = t.cols();
     d.requires_grad = t.requires_grad();
     d.param = t;
-    d.param_name = name;
     const int id = push(std::move(d));
     param_node_.emplace(name, id);
     return id;
@@ -365,14 +364,8 @@ struct Builder {
 
 }  // namespace
 
-bool program_supported(const GpsConfig& config) {
-  (void)config;
-  return true;  // every GpsConfig — including the GINE ablation — is covered
-}
-
 Program build_program(const CircuitGps& model, bool training, LossKind loss) {
   const GpsConfig& cfg = model.config();
-  if (!program_supported(cfg)) throw std::logic_error("exec: unsupported model config");
   Builder b(model, training);
 
   // CircuitGps::forward, statement for statement.

@@ -2,12 +2,9 @@
 
 #include "exec/gps_program.hpp"
 #include "exec/plan.hpp"
-#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 #include <cstddef>
-#include <stdexcept>
-#include <utility>
 
 namespace cgps::exec {
 
@@ -17,15 +14,7 @@ std::size_t slot_of(bool training, LossKind loss) {
 }
 }  // namespace
 
-PlanRunner::PlanRunner(CircuitGps& model)
-    : model_(model), quant_mode_(env_quant_mode()) {}
-
-void PlanRunner::set_prequantized(QuantStore store) {
-  if (quant_mode_ != QuantMode::kInt8) return;
-  quant_ = std::move(store);
-  metric_gauge("exec.quant_bytes").set(static_cast<double>(quant_.total_bytes()));
-  quant_ready_.store(true, std::memory_order_release);
-}
+PlanRunner::PlanRunner(CircuitGps& model) : model_(model) {}
 
 void PlanRunner::check_freeze_mask() {
   const auto params = model_.named_parameters();
@@ -47,24 +36,11 @@ void PlanRunner::check_freeze_mask() {
 }
 
 Executor& PlanRunner::executor_for(bool training, LossKind loss) {
-  if (quant_mode_ == QuantMode::kInt8 && (training || loss != LossKind::kNone))
-    throw std::runtime_error(
-        "exec: CIRCUITGPS_QUANT=int8 is inference-only — training/backward need fp32 "
-        "weights; unset the variable (or set it to off) to train");
   check_freeze_mask();
   std::unique_ptr<Executor>& entry = cache_[slot_of(training, loss)];
   if (entry == nullptr) {
     const TraceSpan span("exec.plan_build");
     entry = std::make_unique<Executor>(compile(build_program(model_, training, loss)));
-    if (quant_mode_ == QuantMode::kInt8) {
-      if (!quant_ready_.load(std::memory_order_acquire)) {
-        // No pre-quantized bundle: post-training quantize on first use.
-        quant_ = quantize_model(model_);
-        metric_gauge("exec.quant_bytes").set(static_cast<double>(quant_.total_bytes()));
-        quant_ready_.store(true, std::memory_order_release);
-      }
-      entry->set_quant(&quant_);
-    }
   }
   return *entry;
 }

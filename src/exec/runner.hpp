@@ -1,7 +1,7 @@
-// PlanRunner: the plan-once/run-many front end used by the trainer when
-// CIRCUITGPS_EXEC=planned (DESIGN.md §10). Records + compiles one Plan per
-// (training, loss-kind) pair on first use, then re-binds the cached Executor
-// to each batch. The cache is invalidated when the parameter freeze mask
+// PlanRunner: the plan-once/run-many front end through which the trainer and
+// the serve core run every forward and backward (DESIGN.md §10). Records +
+// compiles one Plan per (training, loss-kind) pair on first use, then
+// re-binds the cached Executor to each batch. The cache is invalidated when the parameter freeze mask
 // changes (freeze_backbone / reset_head between pre-training and
 // fine-tuning), since requires_grad flags are baked into the compiled
 // backward schedule.
@@ -9,10 +9,8 @@
 
 #include "exec/executor.hpp"
 #include "gps/model.hpp"
-#include "util/env.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,14 +19,11 @@ namespace cgps::exec {
 
 class PlanRunner {
  public:
-  // Captures CIRCUITGPS_QUANT at construction: one runner is either fp32 or
-  // int8 for its whole life (mixing would invalidate the cached executors).
   explicit PlanRunner(CircuitGps& model);
 
-  // One training forward: picks the loss exactly as the eager trainer does
-  // (link task -> BCE-with-logits, alpha > 0 -> weighted MSE, else MSE),
-  // binds, runs the forward schedule, and returns the scalar loss. `values`
-  // holds one label/target per graph.
+  // One training forward: picks the loss (link task -> BCE-with-logits,
+  // alpha > 0 -> weighted MSE, else MSE), binds, runs the forward schedule,
+  // and returns the scalar loss. `values` holds one label/target per graph.
   float forward_loss(const SubgraphBatch& batch, const std::vector<float>& values,
                      float alpha, bool link_task);
 
@@ -39,23 +34,6 @@ class PlanRunner {
   // Inference forward (no loss, training=false). Returns the per-graph output
   // column (`*rows` graphs); the pointer is valid until the next call.
   const float* predict(const SubgraphBatch& batch, std::int64_t* rows);
-
-  // Whether this runner serves int8-quantized inference (CIRCUITGPS_QUANT
-  // at construction). When true, forward_loss/backward throw.
-  bool quantized() const { return quant_mode_ == QuantMode::kInt8; }
-
-  // Adopt pre-quantized weights (model-bundle v3) instead of quantizing on
-  // first use. No-op unless quantized(); must be called before the first
-  // predict.
-  void set_prequantized(QuantStore store);
-
-  // The live quant store (lazily built on first quantized predict), or
-  // nullptr when quantization is off / nothing has run yet. Serving reads
-  // total_bytes() off it for the stats snapshot, possibly from another
-  // thread — hence the acquire pairing with the builder's release store.
-  const QuantStore* quant_store() const {
-    return quant_ready_.load(std::memory_order_acquire) ? &quant_ : nullptr;
-  }
 
  private:
   Executor& executor_for(bool training, LossKind loss);
@@ -70,12 +48,6 @@ class PlanRunner {
   std::vector<float> target_;      // per-batch labels/targets (kept alive through bind)
   std::vector<float> weight_;      // kWeightedMse per-row weights
   Executor* last_ = nullptr;       // executor of the most recent forward_loss
-
-  QuantMode quant_mode_ = QuantMode::kOff;
-  QuantStore quant_;  // owned; executors hold pointers into it
-  // Set (release) only after quant_ is fully populated; stats readers on
-  // other threads gate on it (acquire) before touching quant_.
-  std::atomic<bool> quant_ready_{false};
 };
 
 }  // namespace cgps::exec

@@ -2,7 +2,6 @@
 
 #include "graph/pe.hpp"
 #include "tensor/ops.hpp"
-#include "util/trace.hpp"
 
 #include <stdexcept>
 
@@ -118,54 +117,6 @@ namespace {
 // Constructor-ordering helper: compute widths before member init.
 std::int64_t pe_width(const GpsConfig& c) { return std::max<std::int64_t>(4, c.hidden / 4); }
 
-// Per-layer *backward* timing. The tape has no layer structure, so identity
-// "mark" nodes are spliced between layers; their backward closures fire in
-// reverse-topological order, and the interval between two adjacent boundary
-// firings is the backward time of the layer in between. Only installed when
-// trace streaming is on: the marks are exact identities (values copied,
-// gradients summed in the same order), so results match either way, but
-// keeping the tape untouched in the default path makes bit-identity trivial.
-// Gradient flowing through the edge-feature path of GatedGCN is attributed
-// to the same interval — per-layer numbers are wall-clock between
-// boundaries, not a per-op accounting.
-struct BwdTracer {
-  const std::vector<std::string>* names = nullptr;  // "model.gps<l>.bwd"
-  std::int64_t prev_ts = 0;
-  int prev_boundary = 0;
-  bool has_prev = false;
-
-  // Boundary b = mark after layer b (b == -1: mark before layer 0). When
-  // boundary b fires right after boundary b+1, the elapsed wall time is
-  // layer b+1's backward pass.
-  void boundary(int b) {
-    const std::int64_t now = trace::now_us();
-    if (has_prev && prev_boundary == b + 1) {
-      const std::size_t layer = static_cast<std::size_t>(b + 1);
-      trace::record_complete((*names)[layer], prev_ts,
-                             static_cast<double>(now - prev_ts) / 1e6);
-    }
-    prev_ts = now;
-    prev_boundary = b;
-    has_prev = true;
-  }
-};
-
-Tensor mark_boundary(const Tensor& x, int boundary,
-                     const std::shared_ptr<BwdTracer>& tracer) {
-  if (!grad_enabled_for({&x})) return x;
-  Tensor out = Tensor::make(
-      x.rows(), x.cols(), /*track=*/true, {x.ptr()},
-      [tracer, boundary](detail::Node& n) {
-        detail::Node& parent = *n.parents[0];
-        if (parent.requires_grad) {
-          for (std::size_t i = 0; i < n.grad.size(); ++i) parent.grad[i] += n.grad[i];
-        }
-        tracer->boundary(boundary);
-      });
-  std::copy(x.data().begin(), x.data().end(), out.data().begin());
-  return out;
-}
-
 }  // namespace
 
 CircuitGps::CircuitGps(GpsConfig config)
@@ -216,8 +167,6 @@ CircuitGps::CircuitGps(GpsConfig config)
   for (int l = 0; l < config_.layers; ++l) {
     layers_.push_back(std::make_unique<GpsLayer>(config_, rng_));
     register_module("gps" + std::to_string(l), *layers_.back());
-    fwd_span_names_.push_back("model.gps" + std::to_string(l) + ".fwd");
-    bwd_span_names_.push_back("model.gps" + std::to_string(l) + ".bwd");
   }
 
   register_module("head_net", head_net_);
@@ -294,17 +243,7 @@ Tensor CircuitGps::forward(const SubgraphBatch& batch) {
   Tensor e = edge_emb_.forward(batch.edge_type);
 
   GpsLayer::State state{x, e};
-  std::shared_ptr<BwdTracer> tracer;
-  if (trace::stream_enabled() && grad_enabled_for({&state.x})) {
-    tracer = std::make_shared<BwdTracer>();
-    tracer->names = &bwd_span_names_;
-    state.x = mark_boundary(state.x, -1, tracer);
-  }
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const TraceSpan span(fwd_span_names_[l]);
-    state = layers_[l]->forward(state, batch, rng_);
-    if (tracer) state.x = mark_boundary(state.x, static_cast<int>(l), tracer);
-  }
+  for (const auto& layer : layers_) state = layer->forward(state, batch, rng_);
 
   // Eqs. 6-7.
   Tensor c = head_statistics(batch);

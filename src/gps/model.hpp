@@ -101,11 +101,6 @@ class CircuitGps final : public nn::Module {
   nn::Linear head_device_;    // Eq. 6, x_i = 1
   nn::Embedding head_pin_;    // Eq. 6, x_i = 2
   nn::Mlp head_mlp_;
-
-  // Cached per-layer trace span names ("model.gps<l>.fwd"/".bwd"), built
-  // once in the constructor so hot-path spans never concatenate strings.
-  std::vector<std::string> fwd_span_names_;
-  std::vector<std::string> bwd_span_names_;
 };
 
 }  // namespace cgps

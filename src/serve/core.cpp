@@ -1,13 +1,11 @@
 #include "serve/core.hpp"
 
-#include "exec/gps_program.hpp"
+#include "exec/backend.hpp"
 #include "serve/access_log.hpp"
 #include "serve/protocol.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/ops.hpp"
 #include "train/dataset.hpp"
 #include "train/trainer.hpp"
-#include "util/env.hpp"
 #include "util/json_writer.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -97,13 +95,12 @@ ServeCore::ServeCore(CircuitGps& model, XcNormalizer normalizer,
       designs_(std::move(designs)),
       options_(options),
       batch_options_(batch_options_for(model.config())),
+      runner_(model),
       window_latency_(latency_bounds()) {
   options_.max_batch = std::max(1, options_.max_batch);
   options_.queue_cap = std::max(1, options_.queue_cap);
   if (options_.default_deadline_us <= 0) options_.default_deadline_us = 100000;
   model_.set_training(false);
-  planned_ = env_exec_mode() == ExecMode::kPlanned && exec::program_supported(model.config());
-  if (planned_) runner_ = std::make_unique<exec::PlanRunner>(model_);
   start_us_ = trace::now_us();
   // Touch the instruments once so reports include them even before traffic.
   latency_histogram();
@@ -115,10 +112,6 @@ ServeCore::ServeCore(CircuitGps& model, XcNormalizer normalizer,
 }
 
 ServeCore::~ServeCore() { stop(); }
-
-void ServeCore::set_prequantized(exec::QuantStore store) {
-  if (quantized()) runner_->set_prequantized(std::move(store));
-}
 
 void ServeCore::start() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -335,21 +328,14 @@ void ServeCore::process_group(std::vector<Pending*>& group) {
     batch = make_batch(refs, design.xc, normalizer_, batch_options_);
   }
 
-  // One fused forward for the whole group. Mirrors train/trainer.cpp
-  // run_inference: planned executor when enabled+supported, eager otherwise.
+  // One fused forward for the whole group, as train/trainer.cpp
+  // run_inference does it.
   const std::int64_t forward_start = trace::now_us();
   const TraceSpan forward_span("serve.forward");
-  InferenceGuard guard;
   std::vector<float> raw(k, 0.0f);
-  if (planned_) {
-    std::int64_t rows = 0;
-    const float* out = runner_->predict(batch, &rows);
-    for (std::size_t i = 0; i < k && i < static_cast<std::size_t>(rows); ++i)
-      raw[i] = out[i];
-  } else {
-    const Tensor out = model_.forward(batch);
-    for (std::size_t i = 0; i < k && i < out.data().size(); ++i) raw[i] = out.data()[i];
-  }
+  std::int64_t rows = 0;
+  const float* out = runner_.predict(batch, &rows);
+  for (std::size_t i = 0; i < k && i < static_cast<std::size_t>(rows); ++i) raw[i] = out[i];
   const std::int64_t forward_us = trace::now_us() - forward_start;
   for (Pending* p : group) p->forward_us = forward_us;
 
@@ -444,13 +430,10 @@ std::string ServeCore::stats_json() const {
   w.field("uptime_s", static_cast<double>(now - start_us_) * 1e-6);
   w.field("build", identity_.build);
   w.field("checkpoint", identity_.checkpoint);
-  w.field("executor", planned_ ? "planned" : "eager");
-  w.field("quant", quantized() ? "int8" : "off");
+  // The kernel backend the planned executor runs: "scalar" answers are the
+  // bit-exact reference ones.
+  w.field("executor", exec::select_backend().name());
   w.field("model_fp32_bytes", model_fp32_bytes(model_));
-  // Quantized weight bytes resident alongside fp32 (0 until the first
-  // quantized forward builds the store, or a v3 bundle pre-loads it).
-  const exec::QuantStore* store = runner_ != nullptr ? runner_->quant_store() : nullptr;
-  w.field("model_quant_bytes", store != nullptr ? store->total_bytes() : std::int64_t{0});
   w.field("max_batch", options_.max_batch);
   w.field("queue_cap", options_.queue_cap);
   w.field("default_deadline_ms", static_cast<double>(options_.default_deadline_us) * 1e-3);

@@ -2,7 +2,7 @@
 // queue drained by one batching thread that coalesces concurrent requests
 // into cross-request batches — subgraph extraction + DSPD fan out on the
 // shared work pool, then one fused forward per (design) group through the
-// planned executor (eager fallback) — and replies per request.
+// planned executor — and replies per request.
 //
 // Contracts:
 //   * Coalescing is invisible to results: a batch of k requests returns the
@@ -30,7 +30,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -98,18 +97,6 @@ class ServeCore {
   const CircuitGps& model() const { return model_; }
   const XcNormalizer& normalizer() const { return normalizer_; }
   const ServeOptions& options() const { return options_; }
-  // True when forwards go through the compiled-plan executor
-  // (CIRCUITGPS_EXEC=planned and the model config is supported).
-  bool planned() const { return planned_; }
-  // True when the planned executor serves int8-quantized weights
-  // (CIRCUITGPS_QUANT=int8 at construction).
-  bool quantized() const { return planned_ && runner_ != nullptr && runner_->quantized(); }
-
-  // Adopt the pre-quantized weights of a v3 model bundle so quantized serving
-  // uses the exact codes the bundle was saved with instead of re-quantizing.
-  // Call before start(); a no-op unless quantized().
-  void set_prequantized(exec::QuantStore store);
-
   // Stamp the snapshot identity (checkpoint path, build tag). Call before
   // start(); the strings are read unguarded by stats_json().
   void set_identity(ServeIdentity identity) { identity_ = std::move(identity); }
@@ -154,8 +141,7 @@ class ServeCore {
   std::vector<ServedDesign> designs_;
   ServeOptions options_;
   BatchOptions batch_options_;
-  bool planned_ = false;                        // compiled-plan forward path
-  std::unique_ptr<exec::PlanRunner> runner_;    // batching-thread only
+  exec::PlanRunner runner_;  // batching-thread only
 
   mutable std::mutex hook_mu_;
   std::function<void()> cycle_hook_;

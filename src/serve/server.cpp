@@ -97,11 +97,10 @@ void ServeServer::stop() {
   }
   // The hook captures `this`; the core may outlive this server.
   core_.set_cycle_hook({});
-  // Closing the listener unblocks accept(); shutting connection fds unblocks
-  // their blocked read_frame calls.
+  // Shutting the listener down unblocks accept(); shutting connection fds
+  // unblocks their blocked read_frame calls. The listener is closed only
+  // after the accept thread, which reads listen_fd_, has been joined.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  close_fd(listen_fd_);
-  listen_fd_ = -1;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& conn : conns_) {
@@ -109,6 +108,8 @@ void ServeServer::stop() {
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  close_fd(listen_fd_);
+  listen_fd_ = -1;
   std::vector<std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -128,7 +129,7 @@ void ServeServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed (stop) or fatal error
+      return;  // listener shut down (stop) or fatal error
     }
     if (stopping_.load()) {
       close_fd(fd);

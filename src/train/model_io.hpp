@@ -8,15 +8,14 @@
 //   v2 ("CGM2"): adds a format version and the fitted XcNormalizer bounds,
 //                so inference normalizes X_C exactly as training did instead
 //                of refitting on whatever graphs happen to be served.
-//   v3 ("CGM3"): adds an optional int8 quantization section (per-entry name,
-//                layout, shape, fp32 scales, int8 codes) ahead of the fp32
-//                weights, so CIRCUITGPS_QUANT=int8 serving loads the exact
-//                codes the bundle was validated with instead of re-quantizing.
-// save_model_bundle writes v2, or v3 when given a non-empty QuantStore;
-// load_model_bundle reads all three.
+//   v3 ("CGM3"): v2 plus an int8 weight section (per-entry name, layout,
+//                shape, fp32 scales, int8 codes) ahead of the fp32 weights,
+//                written by earlier releases. The loader checks that every
+//                entry fits the model, then drops the section: a v3 file
+//                serves the fp32 weights it carries.
+// save_model_bundle writes v2; load_model_bundle reads all three.
 #pragma once
 
-#include "exec/quant.hpp"
 #include "gps/batch.hpp"
 #include "gps/model.hpp"
 
@@ -28,23 +27,18 @@ namespace cgps {
 // A loaded bundle. `normalizer.fitted()` is false for v1 files and for v2
 // files saved without one — callers must then fit their own (and should warn:
 // predictions will not match the training-time feature scaling).
-// `quant.entries` is empty unless the file is v3 with a quantization section;
-// quantized serving of older bundles falls back to quantize-on-load.
 struct ModelBundle {
   std::unique_ptr<CircuitGps> model;
   XcNormalizer normalizer;
-  exec::QuantStore quant;
 };
 
 // `normalizer` may be null or unfitted; the bundle records its absence.
-// `quant` with at least one entry upgrades the file to v3 and embeds the
-// pre-quantized weights; null or empty keeps the v2 format byte-identical.
 void save_model_bundle(const CircuitGps& model, const std::string& path,
-                       const XcNormalizer* normalizer = nullptr,
-                       const exec::QuantStore* quant = nullptr);
+                       const XcNormalizer* normalizer = nullptr);
 
 // Reconstructs the model from the embedded config and loads the weights.
-// Throws std::runtime_error on magic/format mismatch.
+// Throws std::runtime_error on magic/format mismatch, and on a v3 int8 entry
+// that does not fit the model (the message names the entry).
 std::unique_ptr<CircuitGps> load_model_bundle(const std::string& path);
 
 // As load_model_bundle, but also surfaces the stored normalizer bounds.

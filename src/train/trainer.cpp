@@ -1,9 +1,7 @@
 #include "train/trainer.hpp"
 
-#include "exec/gps_program.hpp"
 #include "exec/runner.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/optim.hpp"
 #include "util/env.hpp"
 #include "util/json_writer.hpp"
@@ -125,13 +123,6 @@ struct ModelSnapshot {
 std::vector<float> run_inference(CircuitGps& model, const XcNormalizer& normalizer,
                                  const TaskData& test, int batch_size, bool link_task);
 
-// Whether this process should run the model through the compiled-plan
-// executor (CIRCUITGPS_EXEC=planned, DESIGN.md §10) for this config.
-// Unsupported configs fall back to eager silently — outputs are equivalent.
-bool use_planned_exec(const CircuitGps& model) {
-  return env_exec_mode() == ExecMode::kPlanned && exec::program_supported(model.config());
-}
-
 double validation_score(CircuitGps& model, const XcNormalizer& normalizer,
                         const TaskData& validation, bool link_task) {
   const std::vector<float> out = run_inference(model, normalizer, validation, 64, link_task);
@@ -161,7 +152,6 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
   const bool early_stopping = validation != nullptr && options.early_stop_patience > 0;
 
   model.set_training(true);
-  const bool planned = use_planned_exec(model);
   exec::PlanRunner runner(model);
   const std::unique_ptr<JsonlFile> run_log = open_run_log();
   const std::string run_id = trace::make_run_id();
@@ -194,41 +184,17 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
         mb = gather_batch(*train[ref.task], order[ref.task], ref.begin, ref.end,
                           link_task, normalizer, batch_options);
       }
-      Tensor loss;
-      float planned_loss = 0.0f;
+      float loss = 0.0f;
       {
         ScopedTimer st(t_fwd);
         const TraceSpan span("train.forward");
-        if (planned) {
-          planned_loss = runner.forward_loss(mb.batch, mb.values,
-                                             options.target_weight_alpha, link_task);
-        } else {
-          Tensor out = model.forward(mb.batch);
-          Tensor target = Tensor::from_vector(std::move(mb.values),
-                                              out.rows(), 1);
-          if (link_task) {
-            loss = ops::bce_with_logits(out, target);
-          } else if (options.target_weight_alpha > 0.0f) {
-            std::vector<float> weights(static_cast<std::size_t>(out.rows()));
-            for (std::int64_t i = 0; i < out.rows(); ++i)
-              weights[static_cast<std::size_t>(i)] =
-                  1.0f + options.target_weight_alpha * target.at(i, 0);
-            Tensor w = Tensor::from_vector(std::move(weights), out.rows(), 1);
-            loss = ops::mean_all(ops::mul(w, ops::square(ops::sub(out, target))));
-          } else {
-            loss = ops::mse_loss(out, target);
-          }
-        }
+        loss = runner.forward_loss(mb.batch, mb.values, options.target_weight_alpha, link_task);
       }
       {
         ScopedTimer st(t_bwd);
         const TraceSpan span("train.backward");
         optimizer.zero_grad();
-        if (planned) {
-          runner.backward();
-        } else {
-          loss.backward();
-        }
+        runner.backward();
       }
       {
         ScopedTimer st(t_opt);
@@ -236,7 +202,7 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
         optimizer.clip_grad_norm(options.grad_clip);
         optimizer.step();
       }
-      loss_sum += planned ? planned_loss : loss.item();
+      loss_sum += loss;
       ++batches;
       samples += static_cast<std::int64_t>(ref.end - ref.begin);
     }
@@ -307,7 +273,6 @@ std::vector<float> run_inference(CircuitGps& model, const XcNormalizer& normaliz
   const TraceSpan span("train.inference");
   const BatchOptions batch_options = batch_options_for(model.config());
   model.set_training(false);
-  InferenceGuard guard;
 
   // Assemble every evaluation batch on the work pool up front (batches are
   // independent), then run the forwards in order so score layout matches the
@@ -330,21 +295,12 @@ std::vector<float> run_inference(CircuitGps& model, const XcNormalizer& normaliz
 
   std::vector<float> scores;
   scores.reserve(n);
-  if (use_planned_exec(model)) {
-    exec::PlanRunner runner(model);
-    for (const SubgraphBatch& batch : prepared) {
-      std::int64_t rows = 0;
-      const float* out = runner.predict(batch, &rows);
-      for (std::int64_t i = 0; i < rows; ++i)
-        scores.push_back(link_task ? kern::sigmoid1(out[i]) : std::clamp(out[i], 0.0f, 1.0f));
-    }
-    return scores;
-  }
+  exec::PlanRunner runner(model);
   for (const SubgraphBatch& batch : prepared) {
-    Tensor out = model.forward(batch);
-    if (link_task) out = ops::sigmoid(out);
-    for (float v : out.data())
-      scores.push_back(link_task ? v : std::clamp(v, 0.0f, 1.0f));
+    std::int64_t rows = 0;
+    const float* out = runner.predict(batch, &rows);
+    for (std::int64_t i = 0; i < rows; ++i)
+      scores.push_back(link_task ? kern::sigmoid1(out[i]) : std::clamp(out[i], 0.0f, 1.0f));
   }
   return scores;
 }

@@ -112,16 +112,6 @@ bool env_trace_enabled() {
   return env != nullptr && *env != '\0';
 }
 
-ExecMode env_exec_mode() {
-  if (const char* env = std::getenv("CIRCUITGPS_EXEC")) {
-    const std::string v(env);
-    if (v == "planned") return ExecMode::kPlanned;
-    if (v == "eager" || v.empty()) return ExecMode::kEager;
-    warn_once("CIRCUITGPS_EXEC", env, "want eager|planned; using eager");
-  }
-  return ExecMode::kEager;
-}
-
 BackendKind env_backend() {
   if (const char* env = std::getenv("CIRCUITGPS_BACKEND")) {
     const std::string v(env);
@@ -131,16 +121,6 @@ BackendKind env_backend() {
     warn_once("CIRCUITGPS_BACKEND", env, "want scalar|avx2|auto; using auto");
   }
   return BackendKind::kAuto;
-}
-
-QuantMode env_quant_mode() {
-  if (const char* env = std::getenv("CIRCUITGPS_QUANT")) {
-    const std::string v(env);
-    if (v == "int8") return QuantMode::kInt8;
-    if (v == "off" || v.empty()) return QuantMode::kOff;
-    warn_once("CIRCUITGPS_QUANT", env, "want off|int8; using off");
-  }
-  return QuantMode::kOff;
 }
 
 namespace {

@@ -1,11 +1,9 @@
 #include "util/lint/include_graph.hpp"
 
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -530,11 +528,8 @@ std::vector<std::vector<int>> strongly_connected(
 
 }  // namespace
 
-DepsReport analyze_includes(const std::vector<FileUnit>& units,
-                            const DepsOptions& options) {
-  Stopwatch watch;
+DepsReport analyze_includes(const std::vector<FileUnit>& units, const std::string& root) {
   DepsReport report;
-  report.files_scanned = static_cast<int>(units.size());
 
   std::unordered_map<std::string, int> by_rel;
   for (std::size_t u = 0; u < units.size(); ++u)
@@ -704,11 +699,8 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units,
     report.edges.push_back(std::move(e));
   }
 
-  const std::string layering_path = options.layering_path.empty()
-                                        ? options.root + "/tools/cgps_layering.txt"
-                                        : options.layering_path;
   std::string layering_text;
-  if (read_file(layering_path, layering_text)) {
+  if (read_file(root + "/tools/cgps_layering.txt", layering_text)) {
     std::vector<LayeringRow> rows = parse_layering(layering_text, &report.error);
     if (!report.error.empty()) return report;
     for (const ModuleEdge& e : report.edges) {
@@ -751,11 +743,8 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units,
   }
 
   // --- rules: atomics manifest + volatile ---------------------------------
-  const std::string atomics_path = options.atomics_path.empty()
-                                       ? options.root + "/tools/cgps_atomics.txt"
-                                       : options.atomics_path;
   std::string atomics_text;
-  const bool have_atomics = read_file(atomics_path, atomics_text);
+  const bool have_atomics = read_file(root + "/tools/cgps_atomics.txt", atomics_text);
   std::vector<AtomicsRow> atomics_rows;
   if (have_atomics) {
     atomics_rows = parse_atomics(atomics_text, &report.error);
@@ -799,13 +788,9 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units,
                       "tools/cgps_atomics.txt scanner");
       }
     }
-    if (f.rel != "src/exec/quant.hpp") {
-      for (const std::size_t pos : token_offsets(s, "volatile"))
-        add_finding(report.findings, f, line_of(f.starts, pos), "volatile-banned",
-                    "`volatile` is not a concurrency tool; use std::atomic "
-                    "(the only sanctioned volatile is q8_combine's "
-                    "contraction barrier in src/exec/quant.hpp)");
-    }
+    for (const std::size_t pos : token_offsets(s, "volatile"))
+      add_finding(report.findings, f, line_of(f.starts, pos), "volatile-banned",
+                  "`volatile` is not a concurrency tool; use std::atomic");
   }
   if (have_atomics) {
     for (const AtomicsRow& row : atomics_rows) {
@@ -838,7 +823,7 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units,
     if (f.rel.rfind("src/", 0) == 0) actual_modules.insert(module_of(f.rel));
   for (const char* doc : {"README.md", "docs/OPERATIONS.md"}) {
     std::string text;
-    if (read_file(options.root + "/" + doc, text))
+    if (read_file(root + "/" + doc, text))
       check_module_map(doc, text, actual_modules, report.findings);
   }
 
@@ -847,26 +832,6 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units,
               return std::tie(a.file, a.line, a.rule) <
                      std::tie(b.file, b.line, b.rule);
             });
-  report.wall_ms = watch.milliseconds();
-  return report;
-}
-
-DepsReport run_deps(const DepsOptions& options) {
-  Stopwatch watch;
-  std::string error;
-  std::vector<FileUnit> units = scan_tree(options.root, &error);
-  if (!error.empty()) {
-    DepsReport report;
-    report.error = error;
-    return report;
-  }
-  if (units.empty()) {
-    DepsReport report;
-    report.error = "no sources found under " + options.root;
-    return report;
-  }
-  DepsReport report = analyze_includes(units, options);
-  report.wall_ms = watch.milliseconds();
   return report;
 }
 
@@ -879,7 +844,7 @@ std::string render_dot(const std::vector<ModuleEdge>& edges) {
     arcs.emplace(e.from, e.to);
   }
   std::string out = "digraph cgps_modules {\n";
-  out += "  // generated by `cgps_deps --dot` (DESIGN.md §9)\n";
+  out += "  // generated by `cgps_lint --dot` (DESIGN.md §9)\n";
   out += "  rankdir=BT;\n";
   out += "  node [shape=box, fontsize=11];\n";
   for (const std::string& node : nodes) out += "  \"" + node + "\";\n";
@@ -887,57 +852,6 @@ std::string render_dot(const std::vector<ModuleEdge>& edges) {
     out += "  \"" + from + "\" -> \"" + to + "\";\n";
   out += "}\n";
   return out;
-}
-
-int deps_main(int argc, const char* const* argv, std::string& out) {
-  std::string root;
-  std::string layering;
-  std::string atomics;
-  bool dot = false;
-  bool usage_error = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--dot") {
-      dot = true;
-    } else if (arg == "--check") {
-      dot = false;
-    } else if (arg == "--layering" && i + 1 < argc) {
-      layering = argv[++i];
-    } else if (arg == "--atomics" && i + 1 < argc) {
-      atomics = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-' && root.empty()) {
-      root = arg;
-    } else {
-      usage_error = true;
-    }
-  }
-  if (root.empty() || usage_error) {
-    out +=
-        "usage: cgps_deps <repo-root> [--check] [--dot] [--layering FILE] "
-        "[--atomics FILE]\n";
-    return 2;
-  }
-
-  const DepsReport report = run_deps({root, layering, atomics});
-  if (!report.error.empty()) {
-    out += "cgps_deps: " + report.error + "\n";
-    return 2;
-  }
-  if (dot) {
-    out += render_dot(report.edges);
-    return 0;
-  }
-  for (const Finding& v : report.findings) {
-    out += v.file + ":" + std::to_string(v.line) + " " + v.rule + " " +
-           v.message + "\n";
-    if (!v.excerpt.empty()) out += "    > " + v.excerpt + "\n";
-  }
-  char wall[64];
-  std::snprintf(wall, sizeof(wall), "%.1f", report.wall_ms);
-  out += "cgps_deps: " + std::to_string(report.findings.size()) +
-         " violation(s) over " + std::to_string(report.files_scanned) +
-         " files in " + wall + " ms\n";
-  return report.findings.empty() ? 0 : 1;
 }
 
 }  // namespace cgps::lint

@@ -1,4 +1,4 @@
-// cgps_deps: whole-program include-graph analysis (DESIGN.md §9). Where
+// Whole-program include-graph analysis (DESIGN.md §9). Where
 // lint.cpp checks per-line invariants, this subsystem parses every
 // `#include` in the tree (through the same offset-preserving stripped
 // lexer), resolves project headers to modules, and checks structural
@@ -24,8 +24,7 @@
 //                             tools/cgps_atomics.txt manifest
 //   atomics-manifest-stale    an atomics-manifest row matching no site
 //   atomics-manifest-unjustified  a row without a justification
-//   volatile-banned           `volatile` outside the documented q8_combine
-//                             contraction barrier (src/exec/quant.hpp)
+//   volatile-banned           `volatile` anywhere in non-test code
 //   module-map-drift          the README.md (and, when present,
 //                             docs/OPERATIONS.md) module-map table lists a
 //                             module that does not exist, or misses one
@@ -33,8 +32,8 @@
 //
 // Both manifest rules are skipped when their manifest file is absent, so
 // fixture trees stay clean by default. The analysis runs inside run_lint
-// (one shared tree scan) and standalone through the cgps_deps CLI
-// (`--check` for CI, `--dot` to render the module DAG for docs).
+// over its one tree scan; `cgps_lint <root> --dot` renders the module DAG
+// for the docs.
 #pragma once
 
 #include "util/lint/lint.hpp"
@@ -54,29 +53,16 @@ struct ModuleEdge {
   int example_line = 0;
 };
 
-struct DepsOptions {
-  std::string root;
-  // Manifest paths; empty = `<root>/tools/cgps_layering.txt` and
-  // `<root>/tools/cgps_atomics.txt`. A missing file disables its rule.
-  std::string layering_path;
-  std::string atomics_path;
-};
-
 struct DepsReport {
   std::vector<Finding> findings;
   std::vector<ModuleEdge> edges;  // actual src-module graph, sorted
-  int files_scanned = 0;
-  double wall_ms = 0.0;
-  std::string error;  // non-empty when the scan itself failed (exit 2)
+  std::string error;  // non-empty when a manifest is malformed
 };
 
-// Run the include-graph rules over an already-scanned tree (run_lint path:
-// one scan feeds both rule families).
-DepsReport analyze_includes(const std::vector<FileUnit>& units,
-                            const DepsOptions& options);
-
-// Scan `options.root` and analyze (cgps_deps CLI path).
-DepsReport run_deps(const DepsOptions& options);
+// Run the include-graph rules over the tree scanned from `root`; the
+// manifests are read from `<root>/tools/cgps_layering.txt` and
+// `<root>/tools/cgps_atomics.txt`, and a missing file disables its rule.
+DepsReport analyze_includes(const std::vector<FileUnit>& units, const std::string& root);
 
 // Graphviz rendering of the module DAG, deterministic node/edge order.
 std::string render_dot(const std::vector<ModuleEdge>& edges);
@@ -85,12 +71,5 @@ std::string render_dot(const std::vector<ModuleEdge>& edges);
 // scope functions/variables/aliases, macro names), as used by the
 // unused-include rule. Exposed for tests.
 std::vector<std::string> exported_symbols(const FileUnit& header);
-
-// CLI driver for tools/cgps_deps:
-//   cgps_deps <repo-root> [--check] [--dot] [--layering FILE] [--atomics FILE]
-// `--check` (the default) appends findings and a summary to *out and
-// returns 0 clean / 1 violations / 2 bad usage or unreadable inputs;
-// `--dot` appends the DOT graph instead and returns 0/2.
-int deps_main(int argc, const char* const* argv, std::string& out);
 
 }  // namespace cgps::lint

@@ -384,14 +384,15 @@ LintReport run_lint(const LintOptions& options) {
 
   // The include-graph rule family (layering, cycles, include order, unused
   // includes, atomics discipline — see include_graph.hpp) runs over the
-  // same scan, so cgps_lint and cgps_deps can never disagree.
+  // same scan, and the module DAG it builds is what --dot prints.
   {
-    DepsReport deps = analyze_includes(units, DepsOptions{options.root, "", ""});
+    DepsReport deps = analyze_includes(units, options.root);
     if (!deps.error.empty()) {
       report.error = deps.error;
       return report;
     }
     for (Finding& v : deps.findings) report.findings.push_back(std::move(v));
+    report.module_dot = render_dot(deps.edges);
   }
 
   // --- rule: metric-key-registry ----------------------------------------
@@ -556,9 +557,10 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
   std::string allowlist;
   std::string bench_report_path;
   bool json = false;
+  bool dot = false;
   const auto usage = [&out] {
     out += "usage: cgps_lint <repo-root> [--allowlist FILE] [--json] "
-           "[--bench-report FILE]\n";
+           "[--bench-report FILE] [--dot]\n";
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
@@ -569,6 +571,8 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
       bench_report_path = argv[++i];
     } else if (arg == "--json") {
       json = true;
+    } else if (arg == "--dot") {
+      dot = true;
     } else if (!arg.empty() && arg[0] != '-' && root.empty()) {
       root = arg;
     } else {
@@ -581,6 +585,10 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
   if (!report.error.empty()) {
     out += "cgps_lint: " + report.error + "\n";
     return 2;
+  }
+  if (dot) {
+    out += report.module_dot;
+    return 0;
   }
 
   int suppressed = 0;

@@ -29,7 +29,7 @@
 // The include-graph rule family (layering-violation, include-cycle,
 // include-order, unused-include, the atomics/volatile discipline, and
 // module-map-drift — see util/lint/include_graph.hpp) runs as part of
-// run_lint over the same tree scan, and standalone through cgps_deps.
+// run_lint over the same tree scan.
 //
 // When docs/OPERATIONS.md exists, the env-var cross-check additionally
 // requires its environment-variable table to stay in lockstep with the
@@ -78,6 +78,7 @@ struct LintReport {
   int files_scanned = 0;  // C++ files read and lexed
   double wall_ms = 0.0;   // scan + all rules, wall time
   std::string error;  // non-empty when the scan itself failed (exit 2)
+  std::string module_dot;  // Graphviz src-module DAG (include_graph.hpp)
 };
 
 LintReport run_lint(const LintOptions& options);
@@ -97,8 +98,10 @@ std::vector<AllowlistEntry> parse_allowlist(std::string_view text, std::string* 
 
 // CLI driver for tools/cgps_lint:
 //   cgps_lint <repo-root> [--allowlist FILE] [--json] [--bench-report FILE]
+//             [--dot]
 // Appends human-readable output to *out (or, with --json, one
-// `cgps-lint-v1` JSONL record per finding plus a summary record).
+// `cgps-lint-v1` JSONL record per finding plus a summary record; with
+// --dot, only the module DAG as Graphviz, exit 0 unless the scan fails).
 // `--bench-report` additionally writes a minimal cgps-bench-v1 document
 // with the lint wall time, for the CI bench-trend gate. Returns 0 when the
 // tree is clean (allowlisted findings included), 1 on violations, 2 on bad

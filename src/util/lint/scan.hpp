@@ -1,9 +1,8 @@
-// Shared source-tree scanner for the static-analysis family (cgps_lint and
-// cgps_deps). One scan of the tree — collect, sort, read, and lex every
-// C++ file under src/, tools/, bench/, examples/, and tests/ — feeds both
-// the per-line invariant rules (lint.cpp) and the whole-program include
-// graph analysis (include_graph.cpp), so the two checkers never disagree
-// about what a comment or a string literal is.
+// Source-tree scanner for cgps_lint. One scan of the tree — collect, sort,
+// read, and lex every C++ file under src/, tools/, bench/, examples/, and
+// tests/ — feeds both the per-line invariant rules (lint.cpp) and the
+// whole-program include graph analysis (include_graph.cpp), so the two rule
+// families never disagree about what a comment or a string literal is.
 //
 // Lexing is offset-preserving: the stripped text has comments and literal
 // contents blanked with spaces but keeps every byte and newline in place,

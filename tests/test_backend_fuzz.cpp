@@ -3,10 +3,8 @@
 // fp32 kernels may re-associate within one output element, so they are held
 // to a relative tolerance against scalar; the AVX2 matmul kernels, forward
 // and backward, must also match, bit for bit, an in-test reference of their
-// per-element sequence.
-// The int8 kernels share their one fp32 combine (q8_combine) and must match
-// bitwise, and so must the exp kernels (favor_fwd, gate_chain_fwd), whose
-// AVX2 exp is a port of glibc's expf.
+// per-element sequence. The exp kernels (favor_fwd, gate_chain_fwd), whose
+// AVX2 exp is a port of glibc's expf, must match bitwise too.
 #include "exec/backend.hpp"
 #include "util/rng.hpp"
 
@@ -20,8 +18,8 @@
 namespace cgps {
 namespace {
 
-// Odd, prime, and width-straddling dims. 8/16 float lanes and 32 int8 lanes
-// all hit partial-tail paths somewhere in this set, and 8/16/24/32/48/64
+// Odd, prime, and width-straddling dims. 8/16 float lanes all hit
+// partial-tail paths somewhere in this set, and 8/16/24/32/48/64
 // cover every AVX2 column-panel width of the forward and dB kernels (one to
 // four ymm, then a second panel) and every dA row-block size (8, 4, 2, 1).
 const std::vector<std::int64_t> kDims = {1,  2,  3,  5,  7,  8,  9,  13, 16,
@@ -110,12 +108,6 @@ std::vector<float> reference_db(const std::vector<float>& dc, const std::vector<
     }
   }
   return db;
-}
-
-std::vector<std::int8_t> random_codes(std::size_t n, Rng& rng) {
-  std::vector<std::int8_t> v(n);
-  for (std::int8_t& x : v) x = static_cast<std::int8_t>(rng.uniform_int(255) - 127);
-  return v;
 }
 
 void expect_rel_close(const std::vector<float>& a, const std::vector<float>& b, float rel,
@@ -444,64 +436,6 @@ TEST(BackendFuzz, DISABLED_Avx2ExpMatchesStdExpExhaustive) {
   const exec::KernelBackend* avx2 = exec::avx2_backend();
   if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
   expect_avx2_exp_matches_std_exp(*avx2, 1, {});
-}
-
-TEST(BackendFuzz, Int8KernelsAreBitwiseIdentical) {
-  const exec::KernelBackend* avx2 = exec::avx2_backend();
-  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
-  const exec::KernelBackend& scalar = exec::scalar_backend();
-  Rng rng(4048);
-  for (const std::int64_t m : kBatchRows) {
-    for (const std::int64_t k : kDims) {
-      for (const std::int64_t n : kDims) {
-        if (m > 1 && k > 1 && n > 1 && rng.uniform() > 0.25) continue;
-        const auto xq = random_codes(static_cast<std::size_t>(m * k), rng);
-        const auto wq = random_codes(static_cast<std::size_t>(n * k), rng);
-        const auto sx = random_floats(static_cast<std::size_t>(m), rng, 0.001, 0.1);
-        const auto sw = random_floats(static_cast<std::size_t>(n), rng, 0.001, 0.1);
-        const auto bias = random_floats(static_cast<std::size_t>(n), rng);
-        std::vector<float> o_scalar(static_cast<std::size_t>(m * n));
-        std::vector<float> o_avx2(static_cast<std::size_t>(m * n));
-
-        scalar.linear_fwd_q8(xq.data(), sx.data(), wq.data(), sw.data(), bias.data(),
-                             o_scalar.data(), m, k, n);
-        avx2->linear_fwd_q8(xq.data(), sx.data(), wq.data(), sw.data(), bias.data(),
-                            o_avx2.data(), m, k, n);
-        expect_bitwise(o_scalar, o_avx2, "linear_fwd_q8", m, k, n);
-
-        scalar.linear_relu_fwd_q8(xq.data(), sx.data(), wq.data(), sw.data(), bias.data(),
-                                  o_scalar.data(), m, k, n);
-        avx2->linear_relu_fwd_q8(xq.data(), sx.data(), wq.data(), sw.data(), bias.data(),
-                                 o_avx2.data(), m, k, n);
-        expect_bitwise(o_scalar, o_avx2, "linear_relu_fwd_q8", m, k, n);
-      }
-    }
-  }
-}
-
-// Saturated codes at the kernels' extreme values: ±127 codes with the
-// largest scales must still accumulate exactly (k*127*127 < 2^31 holds for
-// every k here) and match bitwise across backends.
-TEST(BackendFuzz, Int8SaturatedInputsStayExact) {
-  const exec::KernelBackend* avx2 = exec::avx2_backend();
-  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 not available";
-  const exec::KernelBackend& scalar = exec::scalar_backend();
-  const std::int64_t m = 3, k = 257, n = 5;
-  std::vector<std::int8_t> xq(static_cast<std::size_t>(m * k));
-  std::vector<std::int8_t> wq(static_cast<std::size_t>(n * k));
-  for (std::size_t i = 0; i < xq.size(); ++i) xq[i] = (i % 2 == 0) ? 127 : -127;
-  for (std::size_t i = 0; i < wq.size(); ++i) wq[i] = (i % 3 == 0) ? -127 : 127;
-  const std::vector<float> sx(static_cast<std::size_t>(m), 1.0f);
-  const std::vector<float> sw(static_cast<std::size_t>(n), 1.0f);
-  const std::vector<float> bias(static_cast<std::size_t>(n), 0.5f);
-  std::vector<float> o_scalar(static_cast<std::size_t>(m * n));
-  std::vector<float> o_avx2(static_cast<std::size_t>(m * n));
-  scalar.linear_fwd_q8(xq.data(), sx.data(), wq.data(), sw.data(), bias.data(), o_scalar.data(),
-                       m, k, n);
-  avx2->linear_fwd_q8(xq.data(), sx.data(), wq.data(), sw.data(), bias.data(), o_avx2.data(), m,
-                      k, n);
-  expect_bitwise(o_scalar, o_avx2, "linear_fwd_q8 saturated", m, k, n);
-  for (const float v : o_scalar) ASSERT_TRUE(std::isfinite(v));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // Tensor::backward BITWISE — values, losses, parameter gradients, and whole
 // training trajectories — at any thread count. The AVX2 backend re-associates
 // reductions and is held to a relative tolerance instead.
-#include "exec/gps_program.hpp"
 #include "exec/runner.hpp"
 #include "gen/designs.hpp"
 #include "gps/model.hpp"
@@ -130,8 +129,8 @@ std::vector<ConfigCase> config_grid() {
     cases.push_back({"mpnn_none", c});
   }
   {
-    // Regression: GINE used to be rejected by program_supported, so planned
-    // mode silently fell back to eager for the ablation path.
+    // Regression: the planned executor once lacked GINE, so the ablation
+    // path silently ran eager.
     GpsConfig c = small_config();
     c.mpnn = MpnnKind::kGine;
     cases.push_back({"gine", c});
@@ -156,7 +155,6 @@ TEST_P(ExecEquivalence, ForwardBitIdenticalAcrossConfigs) {
   par::set_threads(GetParam());
   const Fixture& f = fixture();
   for (const ConfigCase& cc : config_grid()) {
-    ASSERT_TRUE(exec::program_supported(cc.config)) << cc.name;
     CircuitGps model(cc.config);
     const SubgraphBatch batch = f.batch(cc.config);
     model.set_training(false);

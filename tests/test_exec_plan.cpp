@@ -229,12 +229,10 @@ TEST(ExecExecutor, ArenaBytesStableAcrossRebinds) {
 }
 
 TEST(ExecPlan, GineIsSupported) {
-  // Regression: program_supported used to reject GINE, silently dropping the
-  // ablation path to eager under CIRCUITGPS_EXEC=planned.
+  // Regression: the planned executor once lacked GINE, silently dropping
+  // the ablation path to eager.
   GpsConfig config = small_config();
   config.mpnn = MpnnKind::kGine;
-  EXPECT_TRUE(exec::program_supported(config));
-  EXPECT_TRUE(exec::program_supported(small_config()));
   // The recorded GINE program carries the colvec broadcast of (1 + eps) and
   // compiles a backward schedule without throwing.
   const exec::Plan plan = compiled_plan(config, /*training=*/true, exec::LossKind::kBce);

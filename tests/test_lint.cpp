@@ -319,7 +319,7 @@ TEST_F(LintFixture, CliExitContract) {
   EXPECT_EQ(lint_main(4, bad_allow, out), 2);
 }
 
-// --- include-graph rule family (cgps_deps; see include_graph.hpp) --------
+// --- include-graph rule family (see include_graph.hpp) --------------------
 
 TEST_F(LintFixture, IncludeCycleDetected) {
   write("README.md", "");
@@ -486,18 +486,21 @@ TEST_F(LintFixture, AtomicsManifestDiscipline) {
   }
 }
 
-TEST_F(LintFixture, VolatileBannedOutsideQuantBarrier) {
+TEST_F(LintFixture, VolatileBannedEverywhereOutsideTests) {
   write("README.md", "");
   write("src/v/bad.cpp", "volatile int spin = 0;\n");
+  // The header that once held the one sanctioned volatile is flagged too.
   write("src/exec/quant.hpp",
         "#pragma once\n"
-        "inline float q8_combine(float a) { volatile float r = a; return r; }\n");
+        "inline float round_product(float a) { volatile float r = a; return r; }\n");
   write("tests/test_v.cpp", "volatile int probe = 0;\n");  // tests exempt
   const LintReport report = lint();
   const std::vector<std::string> got = rules(report, /*allowlisted=*/false);
-  EXPECT_EQ(got, (std::vector<std::string>{"volatile-banned"}));
-  EXPECT_EQ(report.findings[0].file, "src/v/bad.cpp");
-  EXPECT_EQ(report.findings[0].line, 1);
+  EXPECT_EQ(got, (std::vector<std::string>{"volatile-banned", "volatile-banned"}));
+  EXPECT_EQ(report.findings[0].file, "src/exec/quant.hpp");
+  EXPECT_EQ(report.findings[0].line, 2);
+  EXPECT_EQ(report.findings[1].file, "src/v/bad.cpp");
+  EXPECT_EQ(report.findings[1].line, 1);
 }
 
 TEST_F(LintFixture, ModuleMapDriftBothDirections) {
@@ -523,7 +526,7 @@ TEST_F(LintFixture, ModuleMapDriftBothDirections) {
   }
 }
 
-TEST_F(LintFixture, DepsCliContract) {
+TEST_F(LintFixture, CliDotAndIncludeGraphExitContract) {
   write("README.md", "");
   write("src/p/x.cpp", "#include \"q/y.hpp\"\nint x() { return y(); }\n");
   write("src/q/y.hpp", "#pragma once\ninline int y() { return 1; }\n");
@@ -531,29 +534,27 @@ TEST_F(LintFixture, DepsCliContract) {
 
   // Clean tree (no manifests): exit 0 with a summary line.
   std::string out;
-  const char* check_argv[] = {"cgps_deps", root.c_str(), "--check"};
-  EXPECT_EQ(deps_main(3, check_argv, out), 0);
+  const char* check_argv[] = {"cgps_lint", root.c_str()};
+  EXPECT_EQ(lint_main(2, check_argv, out), 0);
   EXPECT_NE(out.find("0 violation(s)"), std::string::npos);
 
   // --dot renders the live module graph.
   out.clear();
-  const char* dot_argv[] = {"cgps_deps", root.c_str(), "--dot"};
-  EXPECT_EQ(deps_main(3, dot_argv, out), 0);
+  const char* dot_argv[] = {"cgps_lint", root.c_str(), "--dot"};
+  EXPECT_EQ(lint_main(3, dot_argv, out), 0);
   EXPECT_NE(out.find("digraph cgps_modules"), std::string::npos);
   EXPECT_NE(out.find("\"p\" -> \"q\";"), std::string::npos);
 
-  // A violation flips the exit code to 1.
+  // An include-graph violation flips the exit code to 1.
   write("tools/cgps_layering.txt", "p -> elsewhere\n");
   out.clear();
-  EXPECT_EQ(deps_main(3, check_argv, out), 1);
+  EXPECT_EQ(lint_main(2, check_argv, out), 1);
   EXPECT_NE(out.find("layering-violation"), std::string::npos);
 
-  // Bad usage / bad root: exit 2.
+  // Bad root: exit 2, with or without --dot.
   out.clear();
-  const char* no_root[] = {"cgps_deps"};
-  EXPECT_EQ(deps_main(1, no_root, out), 2);
-  const char* bad_root[] = {"cgps_deps", "/nonexistent/cgps", "--check"};
-  EXPECT_EQ(deps_main(3, bad_root, out), 2);
+  const char* bad_root[] = {"cgps_lint", "/nonexistent/cgps", "--dot"};
+  EXPECT_EQ(lint_main(3, bad_root, out), 2);
 }
 
 TEST_F(LintFixture, JsonOutputIsValidRecords) {

@@ -1,3 +1,4 @@
+#include "exec/backend.hpp"
 #include "gen/designs.hpp"
 #include "graph/circuit_graph.hpp"
 #include "netlist/hierarchy.hpp"
@@ -352,19 +353,15 @@ TEST(ServeCore, FreshDaemonStatsAreValidJsonWithoutNanInf) {
   EXPECT_EQ(w10->find("p50_s")->type, JsonValue::Type::kNull);
   EXPECT_EQ(w10->find("p99_s")->type, JsonValue::Type::kNull);
 
-  // Resident-memory fields introduced with the quantized serving path. The
-  // quant mode tracks the ambient CIRCUITGPS_QUANT (the quant CI leg runs
-  // this test with int8 forced on); either way a daemon that has served no
-  // traffic has not built a quant store yet, so the byte gauge reads 0.
+  // Resident-memory fields, and the kernel backend the executor runs.
   const JsonValue* designs = parsed->find("designs");
   ASSERT_NE(designs, nullptr);
   ASSERT_EQ(designs->array.size(), 1u);
   EXPECT_GT(designs->array[0].find("resident_bytes")->number, 0.0);
   EXPECT_GT(parsed->find("model_fp32_bytes")->number, 0.0);
-  EXPECT_EQ(parsed->find("model_quant_bytes")->number, 0.0);
-  const std::string& quant = parsed->find("quant")->string;
-  EXPECT_TRUE(quant == "off" || quant == "int8") << quant;
-  EXPECT_EQ(quant == "int8", core.quantized());
+  const std::string& executor = parsed->find("executor")->string;
+  EXPECT_TRUE(executor == "scalar" || executor == "avx2") << executor;
+  EXPECT_EQ(executor, exec::select_backend().name());
 }
 
 // Corrupt or truncated frames carrying (or pretending to carry) a kStats

@@ -3,7 +3,6 @@
 // pool, cgps-trace-v1 stream coverage of the training hot paths, and the
 // contract that tracing never changes training results.
 #include "train/trainer.hpp"
-#include "util/env.hpp"
 #include "util/json_writer.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -171,21 +170,12 @@ TEST(TraceStreamTest, CoversTrainingHotPaths) {
     }
   }
   // Acceptance: sampling, batch assembly, and the model hot path all appear.
-  // Eager execution emits per-layer fwd/bwd spans; the planned executor
-  // (CIRCUITGPS_EXEC=planned) runs the whole model as one compiled plan and
-  // emits exec.* spans instead.
-  std::vector<const char*> required = {"sampling.for_links", "sampling.extract",
-                                       "sampling.dspd",      "batch.assemble",
-                                       "train.epoch",        "train.forward",
-                                       "train.backward"};
-  if (env_exec_mode() == ExecMode::kPlanned) {
-    for (const char* s : {"exec.plan_build", "exec.run_fwd", "exec.run_bwd"})
-      required.push_back(s);
-  } else {
-    for (const char* s : {"model.gps0.fwd", "model.gps1.fwd", "model.gps0.bwd",
-                          "model.gps1.bwd"})
-      required.push_back(s);
-  }
+  // The planned executor runs the whole model as one compiled plan and
+  // emits exec.* spans for it.
+  const char* required[] = {"sampling.for_links", "sampling.extract", "sampling.dspd",
+                            "batch.assemble",     "train.epoch",      "train.forward",
+                            "train.backward",     "exec.plan_build",  "exec.run_fwd",
+                            "exec.run_bwd"};
   for (const char* span : required) {
     EXPECT_TRUE(names.count(span)) << "span missing from stream: " << span;
   }

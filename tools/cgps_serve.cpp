@@ -19,6 +19,7 @@
 // access log, and poll live stats with cgps_top (kStats over the wire).
 // SIGINT/SIGTERM drain the admission queue before exiting: every accepted
 // request is answered, late submissions are rejected with status `shutdown`.
+#include "exec/backend.hpp"
 #include "gen/designs.hpp"
 #include "graph/circuit_graph.hpp"
 #include "netlist/hierarchy.hpp"
@@ -216,11 +217,6 @@ int main(int argc, char** argv) {
   options.queue_cap = args.queue_cap;
   options.default_deadline_us = static_cast<std::int64_t>(args.deadline_ms) * 1000;
   serve::ServeCore core(*bundle.model, bundle.normalizer, std::move(designs), options);
-  if (core.quantized() && !bundle.quant.entries.empty()) {
-    log_info("cgps_serve: using pre-quantized int8 weights from the v3 bundle (",
-             bundle.quant.entries.size(), " tensors)");
-    core.set_prequantized(std::move(bundle.quant));
-  }
   // Stamp what the kStats snapshot reports as this daemon's identity.
   serve::ServeIdentity identity;
   identity.checkpoint = args.demo ? "demo" : args.checkpoint;
@@ -236,8 +232,8 @@ int main(int argc, char** argv) {
 
   // The line the smoke test greps for; flush so pipes see it immediately.
   std::cout << "cgps_serve listening on 127.0.0.1:" << server.port() << " ("
-            << core.num_designs() << " designs, "
-            << (core.planned() ? "planned" : "eager") << " executor)" << std::endl;
+            << core.num_designs() << " designs, " << exec::select_backend().name()
+            << " backend)" << std::endl;
 
   while (g_stop == 0) pause();
 

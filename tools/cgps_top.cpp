@@ -171,14 +171,11 @@ std::string sparkline(const cgps::JsonValue& counts) {
 }
 
 void render(const Args& args, const cgps::JsonValue& s) {
-  // Pre-v3 daemons have no "quant" field; only decorate when it is live.
-  std::string executor = str_at(s, {"executor"});
-  if (str_at(s, {"quant"}) == "int8") executor += "+int8";
   std::printf("cgps_top — %s:%d   up %ss   build %s   checkpoint %s   "
               "executor %s   proto v%d\n",
               args.host.c_str(), args.port, fmt_num(num_at(s, {"uptime_s"}), 0).c_str(),
               str_at(s, {"build"}).c_str(), str_at(s, {"checkpoint"}).c_str(),
-              executor.c_str(),
+              str_at(s, {"executor"}).c_str(),
               static_cast<int>(num_at(s, {"proto_version"})));
 
   const cgps::JsonValue* designs = s.find("designs");
@@ -196,11 +193,8 @@ void render(const Args& args, const cgps::JsonValue& s) {
   const double rss = num_at(s, {"rss_bytes"});
   const double fp32 = num_at(s, {"model_fp32_bytes"});
   if (std::isfinite(rss) || std::isfinite(fp32)) {
-    std::printf("memory: rss %s   model fp32 %s", fmt_mib(rss).c_str(),
+    std::printf("memory: rss %s   model fp32 %s\n", fmt_mib(rss).c_str(),
                 fmt_mib(fp32).c_str());
-    const double q = num_at(s, {"model_quant_bytes"});
-    if (std::isfinite(q) && q > 0.0) std::printf("   int8 %s", fmt_mib(q).c_str());
-    std::printf("\n");
   }
 
   auto counter = [&](const char* name) {
