@@ -211,10 +211,11 @@ void BM_ExecGateChainFused(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecGateChainFused);
 
-// The planned forward's narrow matmuls at the served shapes: m = 686 rows
-// (the bulk screen's mean batch nodes) by (k, n) = (32, 8) per-head q/k/v,
-// (32, 32) hidden linears and (16, 1) the Performer normaliser. Outside the
-// micro gate's pinned filter; exported as exec.matmul_fwd.n<n>.real_ns.
+// The planned forward's matmuls at the served shapes: m = 686 rows (the
+// bulk screen's mean batch nodes) by (k, n) = (32, 96) the packed q/k/v
+// projection's shape, (32, 32) hidden linears and (8, 16) the FAVOR+
+// u omega. Outside the micro gate's pinned filter; exported as
+// exec.matmul_fwd.n<n>.real_ns.
 void BM_ExecNarrowMatmul(benchmark::State& state) {
   const std::int64_t m = 686, k = state.range(0), n = state.range(1);
   Rng rng(13);
@@ -228,7 +229,7 @@ void BM_ExecNarrowMatmul(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_ExecNarrowMatmul)->Args({32, 8})->Args({32, 32})->Args({16, 1});
+BENCHMARK(BM_ExecNarrowMatmul)->Args({32, 96})->Args({32, 32})->Args({8, 16});
 
 // The training step's backward matmuls at the pre-training shapes: m = 337
 // rows (the pre-training batch's mean node count) by (inner, cols) = (32, 32)
@@ -278,6 +279,54 @@ void BM_ExecFavorFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecFavorFeatures);
+
+// The Performer forward's two wide kernels at the served shape: a
+// bulk-screen batch of N = 900 rows in 16 graphs, hidden 32, 4 heads, dh 8
+// and fm 16. BM_ExecQkvProjection is one layer's packed q/k/v projection,
+// BM_ExecPerformerAttend one head's attend over every graph. Outside the
+// micro gate's pinned filter; exported as exec.qkv_fwd.real_ns and
+// exec.performer_attend.real_ns.
+void BM_ExecQkvProjection(benchmark::State& state) {
+  const std::int64_t m = 900, dim = 32, heads = 4, dh = 8;
+  Rng rng(16);
+  std::vector<float> x(static_cast<std::size_t>(m * dim)),
+      w(static_cast<std::size_t>(dim * 3 * heads * dh)),
+      q(static_cast<std::size_t>(heads * m * dh)), k(q.size()), v(q.size());
+  for (float& e : x) e = rng.normal();
+  for (float& e : w) e = rng.normal();
+  const exec::KernelBackend& backend = exec::select_backend();
+  for (auto _ : state) {
+    backend.qkv_fwd(x.data(), w.data(), q.data(), k.data(), v.data(), m, dim, heads, dh,
+                    0.5946f);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExecQkvProjection);
+
+void BM_ExecPerformerAttend(benchmark::State& state) {
+  const std::int64_t rows = 900, graphs = 16, dh = 8, fm = 16, stride = 32;
+  Rng rng(17);
+  std::vector<std::int64_t> graph_ptr;
+  for (std::int64_t g = 0; g <= graphs; ++g) graph_ptr.push_back(g * rows / graphs);
+  // FAVOR+ features are positive: exp(.) / sqrt(fm).
+  std::vector<float> phi_q(static_cast<std::size_t>(rows * fm)), phi_k(phi_q.size()),
+      v(static_cast<std::size_t>(rows * dh)), kv(static_cast<std::size_t>(graphs * fm * dh)),
+      z(static_cast<std::size_t>(graphs * fm)), numer(v.size()),
+      denom(static_cast<std::size_t>(rows)), out(static_cast<std::size_t>(rows * stride));
+  for (float& e : phi_q) e = 0.25f * std::exp(0.5f * rng.normal());
+  for (float& e : phi_k) e = 0.25f * std::exp(0.5f * rng.normal());
+  for (float& e : v) e = rng.normal();
+  const exec::KernelBackend& backend = exec::select_backend();
+  for (auto _ : state) {
+    backend.performer_attend_fwd(phi_q.data(), phi_k.data(), v.data(), graph_ptr.data(), graphs,
+                                 dh, fm, kv.data(), z.data(), numer.data(), denom.data(),
+                                 out.data(), stride);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExecPerformerAttend);
 
 // Plan-shaped buffer set: ~200 tensors with staggered liveness.
 std::vector<exec::ArenaRequest> arena_requests() {
@@ -366,6 +415,61 @@ void BM_ExecPlannedForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecPlannedForward);
+
+// The served Table-II config (bench_gps_config) on a batch shaped like
+// serve_bulk_screen's: 16 subgraphs around ARRAY_128_32 pin/net pairs 2-4
+// hops apart, rails included, with the serve daemon's default subgraph
+// options: 1,101 nodes in all. Outside the micro gate's pinned filter;
+// exported as exec.forward.planned_table2.real_ns.
+struct Table2ForwardFixture {
+  std::unique_ptr<CircuitGps> model;
+  std::unique_ptr<exec::PlanRunner> runner;
+  SubgraphBatch batch;
+
+  Table2ForwardFixture() {
+    const CircuitGraph graph = build_circuit_graph(flatten(gen::array_128_32()));
+    const HeteroGraph& g = graph.graph;
+    const auto endpoint = [&g](std::int32_t v) {
+      return g.node_type(v) == NodeType::kPin || g.node_type(v) == NodeType::kNet;
+    };
+    Rng rng(18);
+    std::vector<Subgraph> subgraphs;
+    while (subgraphs.size() < 16) {
+      const auto u = static_cast<std::int32_t>(
+          rng.uniform_int(static_cast<std::uint64_t>(g.num_nodes())));
+      if (!endpoint(u)) continue;
+      std::int32_t v = u;
+      const std::uint64_t hops = 2 + rng.uniform_int(3);
+      for (std::uint64_t h = 0; h < hops && g.degree(v) > 0; ++h)
+        v = g.neighbor(v, static_cast<std::int64_t>(
+                              rng.uniform_int(static_cast<std::uint64_t>(g.degree(v)))))
+                .node;
+      if (v == u || !endpoint(v)) continue;
+      subgraphs.push_back(extract_enclosing_subgraph(g, u, v, SubgraphOptions{}));
+    }
+    const GpsConfig config = bench::bench_gps_config();
+    XcNormalizer normalizer;
+    normalizer.fit(graph.xc);
+    std::vector<const Subgraph*> refs;
+    for (const Subgraph& sg : subgraphs) refs.push_back(&sg);
+    BatchOptions options;
+    options.pe = config.pe;
+    batch = make_batch(refs, graph.xc, normalizer, options);
+    model = std::make_unique<CircuitGps>(config);
+    model->set_training(false);
+    runner = std::make_unique<exec::PlanRunner>(*model);
+  }
+};
+
+void BM_ExecPlannedForwardTable2(benchmark::State& state) {
+  static Table2ForwardFixture f;
+  for (auto _ : state) {
+    std::int64_t rows = 0;
+    benchmark::DoNotOptimize(f.runner->predict(f.batch, &rows));
+  }
+  state.counters["nodes"] = static_cast<double>(f.batch.num_nodes());
+}
+BENCHMARK(BM_ExecPlannedForwardTable2);
 
 void BM_ExecEagerTrainStep(benchmark::State& state) {
   ExecBenchFixture& f = exec_fixture();
@@ -576,8 +680,9 @@ int main(int argc, char** argv) {
                         cgps::MetricDirection::kLowerIsBetter);
     // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
     // kernel pairs, arena vs heap binding, whole-model planned vs eager, the
-    // narrow forward matmuls, the training-shaped backward matmuls and the
-    // FAVOR+ feature pass.
+    // served Table-II forward, the forward matmuls, the training-shaped
+    // backward matmuls, the FAVOR+ feature pass and the Performer's packed
+    // projection and attend.
     static const std::pair<const char*, const char*> kExecAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
@@ -589,9 +694,10 @@ int main(int argc, char** argv) {
         {"BM_ExecPlannedForward", "exec.forward.planned.real_ns"},
         {"BM_ExecEagerTrainStep", "exec.train_step.eager.real_ns"},
         {"BM_ExecPlannedTrainStep", "exec.train_step.planned.real_ns"},
-        {"BM_ExecNarrowMatmul/32/8", "exec.matmul_fwd.n8.real_ns"},
+        {"BM_ExecPlannedForwardTable2", "exec.forward.planned_table2.real_ns"},
+        {"BM_ExecNarrowMatmul/32/96", "exec.matmul_fwd.n96.real_ns"},
         {"BM_ExecNarrowMatmul/32/32", "exec.matmul_fwd.n32.real_ns"},
-        {"BM_ExecNarrowMatmul/16/1", "exec.matmul_fwd.n1.real_ns"},
+        {"BM_ExecNarrowMatmul/8/16", "exec.matmul_fwd.n16.real_ns"},
         {"BM_ExecBackwardMatmul/db/32/32", "exec.matmul_db.32x32.real_ns"},
         {"BM_ExecBackwardMatmul/db/32/8", "exec.matmul_db.32x8.real_ns"},
         {"BM_ExecBackwardMatmul/db/64/32", "exec.matmul_db.64x32.real_ns"},
@@ -599,6 +705,8 @@ int main(int argc, char** argv) {
         {"BM_ExecBackwardMatmul/da/32/8", "exec.matmul_da.32x8.real_ns"},
         {"BM_ExecBackwardMatmul/da/64/32", "exec.matmul_da.64x32.real_ns"},
         {"BM_ExecFavorFeatures", "exec.favor_fwd.real_ns"},
+        {"BM_ExecQkvProjection", "exec.qkv_fwd.real_ns"},
+        {"BM_ExecPerformerAttend", "exec.performer_attend.real_ns"},
     };
     for (const auto& [bench, key] : kExecAliases) {
       if (row.name == bench)

@@ -2,8 +2,16 @@
 
 #include "util/env.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 
 namespace cgps::exec {
+
+std::int64_t attend_grain(const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
+                          std::int64_t fm) {
+  if (graphs <= 0) return 1;
+  const std::int64_t mean_rows = (graph_ptr[graphs] - graph_ptr[0]) / graphs + 1;
+  return par::grain_for(2 * mean_rows * fm * dh);
+}
 
 const KernelBackend& select_backend() {
   switch (env_backend()) {

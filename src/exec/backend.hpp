@@ -40,6 +40,19 @@
 //     kernels therefore match scalar bit for bit on every non-NaN output
 //     (a NaN may differ in sign); test_backend_fuzz checks every float with
 //     |x| < 88 in its disabled exhaustive case.
+//   * qkv_fwd is one attention layer's q/k/v projection against the packed
+//     weights [Wq0|Wk0|Wv0|Wq1|...]. Each element keeps the matmul_fwd
+//     sequence of its backend, then q and k take one multiply by qk_scale
+//     (AVX2: +0.0, fma over p ascending skipping x == 0, then the multiply;
+//     scalar: eager's multiply-then-add chain, then the multiply). That is
+//     bitwise the per-head matmul_fwd calls and scale passes it replaces.
+//   * performer_attend_fwd keeps, per graph and per element, the sequence of
+//     the per-graph matmul_fwd calls it replaces: kv[m,j] and z[m] over the
+//     graph's rows ascending, skipping phi_k == 0; numer[i,j] and denom[i]
+//     over m ascending, skipping phi_q == 0; then + 1e-6f, then one
+//     division. It reads phi_k in place (no transposed copy, no ones
+//     vector). Work is split over graphs, and every output belongs to one
+//     graph, so results do not depend on the thread count.
 //   * No allocation anywhere in a kernel body: every buffer, including
 //     scratch, is carved from the plan arena by the caller
 //     (tools/cgps_lint enforces this for src/exec/backend_*.cpp).
@@ -82,7 +95,30 @@ class KernelBackend {
   virtual void favor_fwd(const float* proj, const float* u, float* e, float* phi,
                          std::int64_t rows, std::int64_t dh, std::int64_t fm,
                          float scale) const = 0;
+  // Packed q/k/v projection of one attention layer: P = X(m,dim) Wp with
+  // Wp = [Wq0|Wk0|Wv0|Wq1|...] (dim x 3*heads*dh). Column block 3h+r of P is
+  // head h's q (r = 0), k (1) or v (2), stored as an m x dh matrix at
+  // q/k/v + h*m*dh; q and k are multiplied by qk_scale at the store.
+  virtual void qkv_fwd(const float* x, const float* wpack, float* q, float* k, float* v,
+                       std::int64_t m, std::int64_t dim, std::int64_t heads, std::int64_t dh,
+                       float qk_scale) const = 0;
+  // Performer attend of one head over the graph segments [graph_ptr[g],
+  // graph_ptr[g+1]) of its rows (phi_q/phi_k: rows x fm, v: rows x dh).
+  // Per non-empty graph g: kv_g = phi_k_g^T v_g (fm x dh, at kv + g*fm*dh)
+  // and z_g = phi_k_g^T 1 (fm, at z + g*fm). Per row i of g: numer[i] =
+  // phi_q[i] kv_g (dh), denom[i] = phi_q[i] z_g + 1e-6, and out[i*out_stride
+  // + j] = numer[i,j] / denom[i]. Empty graphs are skipped.
+  virtual void performer_attend_fwd(const float* phi_q, const float* phi_k, const float* v,
+                                    const std::int64_t* graph_ptr, std::int64_t graphs,
+                                    std::int64_t dh, std::int64_t fm, float* kv, float* z,
+                                    float* numer, float* denom, float* out,
+                                    std::int64_t out_stride) const = 0;
 };
+
+// Graphs per chunk of performer_attend_fwd: about 2^14 multiply-adds of the
+// mean graph's kv and numerator work. A pure function of the sizes.
+std::int64_t attend_grain(const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
+                          std::int64_t fm);
 
 // The bit-exact reference backend (always available).
 const KernelBackend& scalar_backend();

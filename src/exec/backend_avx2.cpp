@@ -8,8 +8,9 @@
 // partitioning and the element iteration order are identical to kern::, so
 // results are still deterministic at every thread count. favor_fwd and
 // gate_chain_fwd re-associate nothing: with exp8 below they match scalar bit
-// for bit on every non-NaN output. No allocation anywhere in this file
-// (cgps_lint: exec-kernel-alloc).
+// for bit on every non-NaN output. qkv_fwd and performer_attend_fwd keep the
+// per-element sequences of this backend's calls they replace. No allocation
+// anywhere in this file (cgps_lint: exec-kernel-alloc).
 #include "exec/backend.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -24,56 +25,144 @@ namespace cgps::exec {
 
 namespace {
 
-// Register-blocked forward micro-kernel shared by matmul_fwd, linear_fwd and
-// linear_relu_fwd. Every output element follows one fixed sequence: start at
-// +0.0, acc = fma(a[i,p], b[p,j], acc) for p ascending, skipping a[i,p] == 0
-// (either sign), then + bias[j] (fused linears), then max(., 0) (ReLU).
-// That is kern::matmul_fwd's ikj loop with every multiply-add fused into one
-// FMA; the blocking only decides where partial sums live, so results do not
-// depend on it. A block of R rows x V ymm accumulators stays in registers
-// across the whole k loop and each output row is stored once, bias and ReLU
-// applied at the store. Columns past the last full 8-lane group (all of them
-// when n < 8, e.g. the Performer normaliser's n = 1) use scalar std::fma
-// accumulators interleaved over R rows.
+// Register-blocked forward micro-kernel shared by matmul_fwd, linear_fwd,
+// linear_relu_fwd and qkv_fwd. Every
+// output element follows one fixed sequence: start at +0.0, acc = fma(a[i,p],
+// b[p,j], acc) for p ascending, skipping a[i,p] == 0 (either sign), then the
+// sink's store: + bias[j] (fused linears), then max(., 0) (ReLU), or the
+// q/k scale (qkv_fwd). That is kern::matmul_fwd's ikj loop with every
+// multiply-add fused into one FMA; the blocking only decides where partial
+// sums live, so results do not depend on it. A block of R rows x V ymm
+// accumulators stays in registers across the whole k loop and each output
+// row is stored once. Columns past the last full 8-lane group (all of them
+// when n < 8) use scalar std::fma accumulators interleaved over R rows.
 
 // Rows per block: about eight independent FMA chains, enough to cover the
 // FMA latency on two ports.
 template <int V>
 constexpr int kBlockRows = V <= 1 ? 8 : 8 / V;
 
-// R rows x 8V columns. `a` is the block's first row (row stride k); `b`,
-// `bias` and `o` point at the block's first column (row stride n).
-template <int R, int V>
-inline void block_fwd(const float* a, const float* b, const float* bias, bool relu, float* o,
-                      std::int64_t k, std::int64_t n) {
+// Output sinks. rows_fwd places a sink at its first row (at_row) and at each
+// column panel (at_col), panel_fwd at each block of rows; a block then hands
+// over lane group v of its row r (store) or its one scalar column
+// (store_col), each exactly once.
+
+// Row-major O(m, n), then + bias[j] when bias is not null, then max(., 0)
+// when relu.
+struct DenseOut {
+  float* o;
+  std::int64_t n;
+  const float* bias;
+  bool relu;
+
+  DenseOut at_row(std::int64_t i) const { return {o + i * n, n, bias, relu}; }
+  DenseOut at_col(std::int64_t j) const {
+    return {o + j, n, bias == nullptr ? nullptr : bias + j, relu};
+  }
+  void store(int r, int v, __m256 acc) const {
+    if (bias != nullptr) acc = _mm256_add_ps(acc, _mm256_loadu_ps(bias + 8 * v));
+    if (relu) acc = _mm256_max_ps(acc, _mm256_setzero_ps());
+    _mm256_storeu_ps(o + r * n + 8 * v, acc);
+  }
+  void store_col(int r, float acc) const {
+    if (bias != nullptr) acc += *bias;
+    if (relu) acc = kern::relu1(acc);
+    o[r * n] = acc;
+  }
+};
+
+// The packed q/k/v projection X [Wq0|Wk0|Wv0|Wq1|...]: column j is column
+// j % dh of block b = j / dh, which is head b / 3's q, k or v (b % 3), an
+// m x dh matrix at q/k/v + (b / 3) m dh. q and k are multiplied by `scale`
+// at the store, v by 1 (exact). When dh % 8 == 0 each lane group lies inside
+// one block, and at_col resolves the panel's (at most four) groups once.
+struct QkvOut {
+  float* q;
+  float* k;
+  float* v;
+  std::int64_t m, dh, n;  // n = 3 * heads * dh
+  float scale;
+  std::int64_t row = 0, col = 0;
+  float* group[4] = {};  // each lane group's destination in row `row`
+  float group_scale[4] = {};
+
+  QkvOut at_row(std::int64_t i) const {
+    QkvOut s = *this;
+    s.row += i;
+    for (float*& g : s.group)
+      if (g != nullptr) g += i * dh;
+    return s;
+  }
+  QkvOut at_col(std::int64_t j) const {
+    QkvOut s = *this;
+    s.col += j;
+    if (dh % 8 != 0) return s;
+    std::int64_t b = s.col / dh, c = s.col % dh;
+    for (int g = 0; g < 4 && s.col + 8 * g < n; ++g) {
+      s.group[g] = block(b, s.group_scale[g]) + row * dh + c;
+      c += 8;
+      if (c == dh) {
+        c = 0;
+        ++b;
+      }
+    }
+    return s;
+  }
+  void store(int r, int g, __m256 acc) const {
+    if (group[g] != nullptr)
+      _mm256_storeu_ps(group[g] + r * dh, _mm256_mul_ps(acc, _mm256_set1_ps(group_scale[g])));
+    else
+      store_lanes(r, 8 * g, acc);
+  }
+  void store_col(int r, float acc) const { store_at(r, 0, acc); }
+
+ private:
+  // Row 0 of block b's save, and its factor.
+  float* block(std::int64_t b, float& factor) const {
+    factor = b % 3 == 2 ? 1.0f : scale;
+    return (b % 3 == 0 ? q : b % 3 == 1 ? k : v) + (b / 3) * m * dh;
+  }
+  void store_at(int r, std::int64_t c, float acc) const {
+    const std::int64_t j = col + c;
+    float factor = 1.0f;
+    float* dst = block(j / dh, factor) + (row + r) * dh + j % dh;
+    *dst = acc * factor;
+  }
+  // A lane group that straddles two blocks (dh % 8 != 0), one lane at a
+  // time. Out of line, so the vector store above stays lean.
+  [[gnu::noinline]] void store_lanes(int r, std::int64_t c, __m256 acc) const {
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, acc);
+    for (int l = 0; l < 8; ++l) store_at(r, c + l, lanes[l]);
+  }
+};
+
+// R rows x 8V columns. `a` is the block's first row (row stride k); `b`
+// points at the block's first column (row stride n).
+template <int R, int V, class Out>
+inline void block_fwd(const float* a, const float* b, const Out out, std::int64_t k,
+                      std::int64_t n) {
   __m256 acc[R][V];
   for (int r = 0; r < R; ++r)
-    for (std::int64_t v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
   for (std::int64_t p = 0; p < k; ++p) {
     const float* bp = b + p * n;
     for (int r = 0; r < R; ++r) {
       const float arp = a[r * k + p];
       if (arp == 0.0f) continue;
       const __m256 av = _mm256_set1_ps(arp);
-      for (std::int64_t v = 0; v < V; ++v)
+      for (int v = 0; v < V; ++v)
         acc[r][v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + 8 * v), acc[r][v]);
     }
   }
-  const __m256 zero = _mm256_setzero_ps();
-  for (int r = 0; r < R; ++r) {
-    for (std::int64_t v = 0; v < V; ++v) {
-      __m256 out = acc[r][v];
-      if (bias != nullptr) out = _mm256_add_ps(out, _mm256_loadu_ps(bias + 8 * v));
-      if (relu) out = _mm256_max_ps(out, zero);
-      _mm256_storeu_ps(o + r * n + 8 * v, out);
-    }
-  }
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < V; ++v) out.store(r, v, acc[r][v]);
 }
 
 // R rows x one column, scalar accumulators (same pointer layout, V = 0).
-template <int R>
-inline void block_fwd_col(const float* a, const float* b, const float* bias, bool relu,
-                          float* o, std::int64_t k, std::int64_t n) {
+template <int R, class Out>
+inline void block_fwd_col(const float* a, const float* b, const Out out, std::int64_t k,
+                          std::int64_t n) {
   float acc[R] = {};
   for (std::int64_t p = 0; p < k; ++p) {
     const float bp = b[p * n];
@@ -82,50 +171,42 @@ inline void block_fwd_col(const float* a, const float* b, const float* bias, boo
       if (arp != 0.0f) acc[r] = std::fma(arp, bp, acc[r]);
     }
   }
-  for (int r = 0; r < R; ++r) {
-    float out = acc[r];
-    if (bias != nullptr) out += *bias;
-    if (relu) out = kern::relu1(out);
-    o[r * n] = out;
-  }
+  for (int r = 0; r < R; ++r) out.store_col(r, acc[r]);
 }
 
 // `rows` rows of one column panel (V ymm wide, or one scalar column when
 // V == 0): blocks of R rows, then the remainder in halving blocks.
-template <int R, int V>
-inline void panel_fwd(const float* a, const float* b, const float* bias, bool relu, float* o,
-                      std::int64_t rows, std::int64_t k, std::int64_t n) {
+template <int R, int V, class Out>
+inline void panel_fwd(const float* a, const float* b, const Out& out, std::int64_t rows,
+                      std::int64_t k, std::int64_t n) {
   std::int64_t i = 0;
   for (; i + R <= rows; i += R) {
     if constexpr (V == 0)
-      block_fwd_col<R>(a + i * k, b, bias, relu, o + i * n, k, n);
+      block_fwd_col<R>(a + i * k, b, out.at_row(i), k, n);
     else
-      block_fwd<R, V>(a + i * k, b, bias, relu, o + i * n, k, n);
+      block_fwd<R, V>(a + i * k, b, out.at_row(i), k, n);
   }
-  if constexpr (R > 1) panel_fwd<R / 2, V>(a + i * k, b, bias, relu, o + i * n, rows - i, k, n);
+  if constexpr (R > 1) panel_fwd<R / 2, V>(a + i * k, b, out.at_row(i), rows - i, k, n);
 }
 
-// Output rows [i0, i1) of O = A(m,k) B(k,n) [+ bias] [ReLU]: 32-column
-// panels, then the remaining full 8-lane groups as one panel, then the
-// scalar columns. `bias` may be null (plain matmul: no add at all).
-inline void rows_fwd(const float* a, const float* b, const float* bias, bool relu, float* o,
-                     std::int64_t i0, std::int64_t i1, std::int64_t k, std::int64_t n) {
+// Output rows [i0, i1) of A(m,k) B(k,n) into `out`: 32-column panels, then
+// the remaining full 8-lane groups as one panel, then the scalar columns.
+template <class Out>
+inline void rows_fwd(const float* a, const float* b, const Out& out, std::int64_t i0,
+                     std::int64_t i1, std::int64_t k, std::int64_t n) {
   a += i0 * k;
-  o += i0 * n;
+  const Out o = out.at_row(i0);
   const std::int64_t rows = i1 - i0;
-  const auto bias_at = [bias](std::int64_t j) { return bias == nullptr ? nullptr : bias + j; };
   std::int64_t j = 0;
-  for (; j + 32 <= n; j += 32)
-    panel_fwd<kBlockRows<4>, 4>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+  for (; j + 32 <= n; j += 32) panel_fwd<kBlockRows<4>, 4>(a, b + j, o.at_col(j), rows, k, n);
   const std::int64_t groups = (n - j) / 8;
   if (groups == 3)
-    panel_fwd<kBlockRows<3>, 3>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+    panel_fwd<kBlockRows<3>, 3>(a, b + j, o.at_col(j), rows, k, n);
   else if (groups == 2)
-    panel_fwd<kBlockRows<2>, 2>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+    panel_fwd<kBlockRows<2>, 2>(a, b + j, o.at_col(j), rows, k, n);
   else if (groups == 1)
-    panel_fwd<kBlockRows<1>, 1>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
-  for (j += 8 * groups; j < n; ++j)
-    panel_fwd<kBlockRows<0>, 0>(a, b + j, bias_at(j), relu, o + j, rows, k, n);
+    panel_fwd<kBlockRows<1>, 1>(a, b + j, o.at_col(j), rows, k, n);
+  for (j += 8 * groups; j < n; ++j) panel_fwd<kBlockRows<0>, 0>(a, b + j, o.at_col(j), rows, k, n);
 }
 
 // Register-blocked dB micro-kernel: the forward blocking turned around, with
@@ -213,7 +294,7 @@ inline void rows_db(const float* dc, const float* a, float* db, std::int64_t p0,
     panel_db<kBlockRows<0>, 0>(dc + j, a, db + j, count, rows, inner, cols);
 }
 
-// Lanes [0, n) of a maskload/maskstore mask, n <= 8.
+// Lanes [0, n) of a maskload/maskstore mask (all eight when n >= 8).
 inline __m256i lane_mask(std::int64_t n) {
   return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<std::int32_t>(n)),
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
@@ -399,14 +480,119 @@ inline void gate8(const float* v, const float* lm, float* eta, float* msg, __m25
   store8<Masked>(msg, mask, _mm256_mul_ps(s, load8<Masked>(lm, mask)));
 }
 
+// The Performer attend of one graph. Every element keeps the sequence of
+// the per-graph matmul_fwd calls (backend.hpp). FAVOR+ features are
+// exp(.) * scale, which is zero only on underflow, so phi is tested for
+// zeros eight entries at a time: a group without zeros runs its eight fmas
+// without a branch, any other group skips its zeros one by one. Lanes past
+// fm load as zero, so a short group always takes the skipping path and
+// never reads past its row.
+
+// Zero lanes of eight phi entries, one bit each.
+inline int zero_lanes(__m256 x) {
+  return _mm256_movemask_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_EQ_OQ));
+}
+
+// kv rows [m0, m0 + rows) x columns [c, c + 8) of one graph, rows <= 8:
+// from +0.0, fma(phi_k[i,m], v[i,j], acc) over the len rows ascending,
+// skipping phi_k == 0. With z, also z[m0, m0 + rows): +0.0 plus phi_k[i,m]
+// over the rows ascending. That is matmul_fwd(phi_k^T, ones): its fma(phi_k,
+// 1, acc) rounds phi_k + acc once, and its skipped ±0.0 terms could not
+// change z, which starts at +0.0 and so never becomes -0.0.
+template <bool MaskedCols>
+inline void kv_block(const float* phi_k, const float* v, std::int64_t len, std::int64_t dh,
+                     std::int64_t fm, std::int64_t rows, __m256i cols_mask, float* kv,
+                     float* z) {
+  const __m256i rows_mask = lane_mask(rows);
+  __m256 acc[8];
+  for (__m256& a : acc) a = _mm256_setzero_ps();
+  __m256 zacc = _mm256_setzero_ps();
+  for (std::int64_t i = 0; i < len; ++i) {
+    const float* a = phi_k + i * fm;
+    const __m256 pk = _mm256_maskload_ps(a, rows_mask);
+    if (z != nullptr) zacc = _mm256_add_ps(zacc, pk);
+    const __m256 vi = load8<MaskedCols>(v + i * dh, cols_mask);
+    const int zeros = zero_lanes(pk);
+    if (zeros == 0) {
+      for (int r = 0; r < 8; ++r) acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r]), vi, acc[r]);
+    } else {
+      for (int r = 0; r < 8; ++r)
+        if ((zeros >> r & 1) == 0) acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r]), vi, acc[r]);
+    }
+  }
+  for (std::int64_t r = 0; r < rows; ++r) store8<MaskedCols>(kv + r * dh, cols_mask, acc[r]);
+  if (z != nullptr) _mm256_maskstore_ps(z, rows_mask, zacc);
+}
+
+// numer[i, c..c+8) of one row: from +0.0, fma(phi_q[i,m], kv[m,j], acc) over
+// m ascending, skipping phi_q == 0. With denom (the first column chunk),
+// also denom[i]: the same chain over z as one scalar std::fma per m, then
+// + 1e-6.
+template <bool MaskedCols>
+inline __m256 numer_chunk(const float* a, const float* kv, const float* z, std::int64_t dh,
+                          std::int64_t fm, __m256i cols_mask, float* denom) {
+  __m256 acc = _mm256_setzero_ps();
+  float d = 0.0f;
+  const auto step = [&](std::int64_t m) {
+    acc = _mm256_fmadd_ps(_mm256_set1_ps(a[m]), load8<MaskedCols>(kv + m * dh, cols_mask), acc);
+    if (denom != nullptr) d = std::fma(a[m], z[m], d);
+  };
+  for (std::int64_t m0 = 0; m0 < fm; m0 += 8) {
+    const int zeros = zero_lanes(_mm256_maskload_ps(a + m0, lane_mask(fm - m0)));
+    if (zeros == 0) {
+      for (int r = 0; r < 8; ++r) step(m0 + r);
+    } else {
+      for (int r = 0; r < 8; ++r)
+        if ((zeros >> r & 1) == 0) step(m0 + r);
+    }
+  }
+  if (denom != nullptr) *denom = d + 1e-6f;
+  return acc;
+}
+
+inline void attend_graph(const float* phi_q, const float* phi_k, const float* v,
+                         std::int64_t len, std::int64_t dh, std::int64_t fm, float* kv, float* z,
+                         float* numer, float* denom, float* out, std::int64_t out_stride) {
+  const __m256i tail = lane_mask(dh % 8);
+  for (std::int64_t m0 = 0; m0 < fm; m0 += 8) {
+    const std::int64_t rows = fm - m0 < 8 ? fm - m0 : 8;
+    std::int64_t c = 0;
+    for (; c + 8 <= dh; c += 8)
+      kv_block<false>(phi_k + m0, v + c, len, dh, fm, rows, tail, kv + m0 * dh + c,
+                      c == 0 ? z + m0 : nullptr);
+    if (c < dh)
+      kv_block<true>(phi_k + m0, v + c, len, dh, fm, rows, tail, kv + m0 * dh + c,
+                     c == 0 ? z + m0 : nullptr);
+  }
+  for (std::int64_t i = 0; i < len; ++i) {
+    const float* a = phi_q + i * fm;
+    float* ni = numer + i * dh;
+    float* oi = out + i * out_stride;
+    std::int64_t c = 0;
+    for (; c + 8 <= dh; c += 8) {
+      const __m256 acc =
+          numer_chunk<false>(a, kv + c, z, dh, fm, tail, c == 0 ? denom + i : nullptr);
+      store8<false>(ni + c, tail, acc);
+      store8<false>(oi + c, tail, _mm256_div_ps(acc, _mm256_set1_ps(denom[i])));
+    }
+    if (c < dh) {
+      const __m256 acc =
+          numer_chunk<true>(a, kv + c, z, dh, fm, tail, c == 0 ? denom + i : nullptr);
+      store8<true>(ni + c, tail, acc);
+      store8<true>(oi + c, tail, _mm256_div_ps(acc, _mm256_set1_ps(denom[i])));
+    }
+  }
+}
+
 class Avx2Backend final : public KernelBackend {
  public:
   const char* name() const override { return "avx2"; }
 
   void matmul_fwd(const float* a, const float* b, float* o, std::int64_t m, std::int64_t k,
                   std::int64_t n) const override {
+    const DenseOut out{o, n, nullptr, false};
     par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      rows_fwd(a, b, nullptr, false, o, i0, i1, k, n);
+      rows_fwd(a, b, out, i0, i1, k, n);
     });
   }
 
@@ -430,15 +616,17 @@ class Avx2Backend final : public KernelBackend {
 
   void linear_fwd(const float* x, const float* w, const float* bias, float* o, std::int64_t m,
                   std::int64_t k, std::int64_t n) const override {
+    const DenseOut out{o, n, bias, false};
     par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      rows_fwd(x, w, bias, false, o, i0, i1, k, n);
+      rows_fwd(x, w, out, i0, i1, k, n);
     });
   }
 
   void linear_relu_fwd(const float* x, const float* w, const float* bias, float* o,
                        std::int64_t m, std::int64_t k, std::int64_t n) const override {
+    const DenseOut out{o, n, bias, true};
     par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      rows_fwd(x, w, bias, true, o, i0, i1, k, n);
+      rows_fwd(x, w, out, i0, i1, k, n);
     });
   }
 
@@ -464,6 +652,31 @@ class Avx2Backend final : public KernelBackend {
         for (; j + 8 <= fm; j += 8)
           favor8<false>(proj + o + j, half, vscale, e + o + j, phi + o + j, tail);
         if (j < fm) favor8<true>(proj + o + j, half, vscale, e + o + j, phi + o + j, tail);
+      }
+    });
+  }
+
+  void qkv_fwd(const float* x, const float* wpack, float* q, float* k, float* v, std::int64_t m,
+               std::int64_t dim, std::int64_t heads, std::int64_t dh,
+               float qk_scale) const override {
+    const std::int64_t n = 3 * heads * dh;
+    const QkvOut out{q, k, v, m, dh, n, qk_scale};
+    par::parallel_for(0, m, par::grain_for(dim * n), [&](std::int64_t i0, std::int64_t i1) {
+      rows_fwd(x, wpack, out, i0, i1, dim, n);
+    });
+  }
+
+  void performer_attend_fwd(const float* phi_q, const float* phi_k, const float* v,
+                            const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
+                            std::int64_t fm, float* kv, float* z, float* numer, float* denom,
+                            float* out, std::int64_t out_stride) const override {
+    par::parallel_for(0, graphs, attend_grain(graph_ptr, graphs, dh, fm),
+                      [&](std::int64_t g0, std::int64_t g1) {
+      for (std::int64_t g = g0; g < g1; ++g) {
+        const std::int64_t s = graph_ptr[g], len = graph_ptr[g + 1] - s;
+        if (len == 0) continue;
+        attend_graph(phi_q + s * fm, phi_k + s * fm, v + s * dh, len, dh, fm, kv + g * fm * dh,
+                     z + g * fm, numer + s * dh, denom + s, out + s * out_stride, out_stride);
       }
     });
   }

@@ -8,6 +8,7 @@
 #include "tensor/kernels.hpp"
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace cgps::exec {
@@ -80,6 +81,79 @@ class ScalarBackend final : public KernelBackend {
           const float ev = std::exp(kern::sub_colvec1(proj[i * fm + j], half));
           e[i * fm + j] = ev;
           phi[i * fm + j] = ev * scale;
+        }
+      }
+    });
+  }
+
+  void qkv_fwd(const float* x, const float* wpack, float* q, float* k, float* v, std::int64_t m,
+               std::int64_t dim, std::int64_t heads, std::int64_t dh,
+               float qk_scale) const override {
+    // kern::matmul_fwd's row loop with the output row cut into the 3*heads
+    // blocks of dh, each block's row living in its own save; then the q/k
+    // scale pass's one multiply.
+    const std::int64_t blocks = 3 * heads, n = blocks * dh;
+    float* const saves[3] = {q, k, v};
+    const auto block_row = [&](std::int64_t b, std::int64_t i) {
+      return saves[b % 3] + (b / 3) * m * dh + i * dh;
+    };
+    par::parallel_for(0, m, par::grain_for(dim * n), [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        for (std::int64_t b = 0; b < blocks; ++b) std::fill_n(block_row(b, i), dh, 0.0f);
+        const float* xi = x + i * dim;
+        for (std::int64_t p = 0; p < dim; ++p) {
+          const float xip = xi[p];
+          if (xip == 0.0f) continue;
+          const float* wp = wpack + p * n;
+          for (std::int64_t b = 0; b < blocks; ++b) {
+            float* o = block_row(b, i);
+            for (std::int64_t j = 0; j < dh; ++j) o[j] += xip * wp[b * dh + j];
+          }
+        }
+        for (std::int64_t b = 0; b < blocks; ++b) {
+          if (b % 3 == 2) continue;
+          float* o = block_row(b, i);
+          for (std::int64_t j = 0; j < dh; ++j) o[j] *= qk_scale;
+        }
+      }
+    });
+  }
+
+  void performer_attend_fwd(const float* phi_q, const float* phi_k, const float* v,
+                            const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
+                            std::int64_t fm, float* kv, float* z, float* numer, float* denom,
+                            float* out, std::int64_t out_stride) const override {
+    par::parallel_for(0, graphs, attend_grain(graph_ptr, graphs, dh, fm),
+                      [&](std::int64_t g0, std::int64_t g1) {
+      for (std::int64_t g = g0; g < g1; ++g) {
+        const std::int64_t s = graph_ptr[g], e = graph_ptr[g + 1];
+        if (e == s) continue;
+        // kv = matmul(phi_k^T, v) and z = matmul(phi_k^T, ones): each kv[m,j]
+        // and z[m] takes its rows' terms in ascending order, skipping
+        // phi_k == 0, with phi_k read in place (a * 1 is a).
+        float* kvg = kv + g * fm * dh;
+        float* zg = z + g * fm;
+        std::fill_n(kvg, fm * dh, 0.0f);
+        std::fill_n(zg, fm, 0.0f);
+        for (std::int64_t i = s; i < e; ++i) {
+          const float* pk = phi_k + i * fm;
+          const float* vi = v + i * dh;
+          for (std::int64_t mm = 0; mm < fm; ++mm) {
+            const float a = pk[mm];
+            if (a == 0.0f) continue;
+            zg[mm] += a;
+            for (std::int64_t j = 0; j < dh; ++j) kvg[mm * dh + j] += a * vi[j];
+          }
+        }
+        // numer = matmul(phi_q, kv), denom = matmul(phi_q, z) + 1e-6, then
+        // div_colvec.
+        for (std::int64_t i = s; i < e; ++i) {
+          float* ni = numer + i * dh;
+          accumulate_row(phi_q + i * fm, kvg, ni, fm, dh);
+          accumulate_row(phi_q + i * fm, zg, denom + i, fm, 1);
+          denom[i] += 1e-6f;
+          for (std::int64_t j = 0; j < dh; ++j)
+            out[i * out_stride + j] = kern::div_colvec1(ni[j], denom[i]);
         }
       }
     });

@@ -30,6 +30,7 @@ Executor::Executor(Plan plan) : plan_(std::move(plan)) {
   groups_.assign(n, nullptr);
   inv_counts_.resize(n);
   mega_.resize(n);
+  wpack_.assign(n, nullptr);
   for (std::size_t id = 0; id < n; ++id)
     if (plan_.prog.nodes[id].op == Op::kParam) param_ids_.push_back(static_cast<int>(id));
 }
@@ -250,6 +251,11 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
     if (g.def >= 0) requests_.push_back({numel(static_cast<int>(id)), g.def, g.last});
     const Life& a = plan_.aux[id];
     if (a.def >= 0) requests_.push_back({aux_floats(static_cast<int>(id)), a.def, a.last});
+    // The packed q/k/v weights live for their own forward step only.
+    if (a.def >= 0 && is_mega(static_cast<int>(id))) {
+      const NodeDef& d = plan_.prog.nodes[id];
+      requests_.push_back({d.cols * 3 * d.heads * d.head_dim, a.def, a.def});
+    }
   }
   const std::vector<std::int64_t> offsets = arena_.bind(requests_);
   float* base = arena_.base();
@@ -258,6 +264,7 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
     if (plan_.val[id].def >= 0) val_[id] = base + offsets[r++];
     if (plan_.grad[id].def >= 0) grad_[id] = base + offsets[r++];
     if (plan_.aux[id].def >= 0) aux_[id] = base + offsets[r++];
+    if (plan_.aux[id].def >= 0 && is_mega(static_cast<int>(id))) wpack_[id] = base + offsets[r++];
   }
 
   // kLinearRelu backward scratch (grow-only; shared across steps).
@@ -507,24 +514,39 @@ void Executor::fwd_batchnorm(int id) {
                    val_[static_cast<std::size_t>(id)], m, c);
 }
 
+bool Executor::is_mega(int id) const {
+  const Op op = plan_.prog.nodes[static_cast<std::size_t>(id)].op;
+  return op == Op::kMultihead || op == Op::kPerformer;
+}
+
+void Executor::project_qkv(int id, float qk_scale) {
+  const NodeDef& d = plan_.prog.nodes[static_cast<std::size_t>(id)];
+  const MegaLayout& L = mega_[static_cast<std::size_t>(id)];
+  const std::int64_t dh = d.head_dim, dim = d.cols, blocks = 3 * d.heads, n = blocks * dh;
+  // Refresh the packed [Wq0|Wk0|Wv0|Wq1|...] every forward: training moves
+  // the weights between steps.
+  float* w = wpack_[static_cast<std::size_t>(id)];
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    const float* wb = d.mh_w[static_cast<std::size_t>(b)].data().data();
+    for (std::int64_t p = 0; p < dim; ++p) std::copy_n(wb + p * dh, dh, w + p * n + b * dh);
+  }
+  float* base = aux_[static_cast<std::size_t>(id)];
+  backend_->qkv_fwd(val_[static_cast<std::size_t>(d.inputs[0])], w, base + L.q, base + L.k,
+                    base + L.v, n_, dim, d.heads, dh, qk_scale);
+}
+
 void Executor::fwd_multihead(int id) {
   const NodeDef& d = plan_.prog.nodes[static_cast<std::size_t>(id)];
   const MegaLayout& L = mega_[static_cast<std::size_t>(id)];
   const std::int64_t N = n_, dh = d.head_dim, H = d.heads, dim = d.cols;
-  const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
   float* out = val_[static_cast<std::size_t>(id)];
   float* base = aux_[static_cast<std::size_t>(id)];
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(dh));
+  project_qkv(id, 1.0f);
   for (std::int64_t h = 0; h < H; ++h) {
-    float* q = base + L.q + h * N * dh;
-    float* k = base + L.k + h * N * dh;
-    float* v = base + L.v + h * N * dh;
-    backend_->matmul_fwd(x, d.mh_w[static_cast<std::size_t>(3 * h)].data().data(), q, N, dim,
-                         dh);
-    backend_->matmul_fwd(x, d.mh_w[static_cast<std::size_t>(3 * h + 1)].data().data(), k, N,
-                         dim, dh);
-    backend_->matmul_fwd(x, d.mh_w[static_cast<std::size_t>(3 * h + 2)].data().data(), v, N,
-                         dim, dh);
+    const float* q = base + L.q + h * N * dh;
+    const float* k = base + L.k + h * N * dh;
+    const float* v = base + L.v + h * N * dh;
     float* head_out = base + L.ndh_a;
     for (std::int64_t g = 0; g < g_; ++g) {
       const std::int64_t s = batch_->graph_ptr[static_cast<std::size_t>(g)];
@@ -550,68 +572,31 @@ void Executor::fwd_performer(int id) {
   const NodeDef& d = plan_.prog.nodes[static_cast<std::size_t>(id)];
   const MegaLayout& L = mega_[static_cast<std::size_t>(id)];
   const std::int64_t N = n_, dh = d.head_dim, H = d.heads, dim = d.cols, fm = d.features;
-  const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
   float* out = val_[static_cast<std::size_t>(id)];
   float* base = aux_[static_cast<std::size_t>(id)];
-  const float s_qk = 1.0f / std::pow(static_cast<float>(dh), 0.25f);
   const float inv_sqrt_m = 1.0f / std::sqrt(static_cast<float>(fm));
+  project_qkv(id, 1.0f / std::pow(static_cast<float>(dh), 0.25f));
   for (std::int64_t h = 0; h < H; ++h) {
-    float* q = base + L.q + h * N * dh;
-    float* k = base + L.k + h * N * dh;
-    float* v = base + L.v + h * N * dh;
-    backend_->matmul_fwd(x, d.mh_w[static_cast<std::size_t>(3 * h)].data().data(), q, N, dim,
-                         dh);
-    backend_->matmul_fwd(x, d.mh_w[static_cast<std::size_t>(3 * h + 1)].data().data(), k, N,
-                         dim, dh);
-    backend_->matmul_fwd(x, d.mh_w[static_cast<std::size_t>(3 * h + 2)].data().data(), v, N,
-                         dim, dh);
-    par::parallel_for(0, N * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) q[i] *= s_qk;
-    });
-    par::parallel_for(0, N * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) k[i] *= s_qk;
-    });
     // favor+(u): e = exp(u omega - ||u||^2/2), phi = e / sqrt(m); both saved
     // (exp backward reads its output, the matmul backwards read phi). Every
     // step is row-wise, so one pass over all N rows of the head gives each
     // graph's rows the bits a per-graph pass would; u omega lands in e.
     const float* omega = d.mh_omega[static_cast<std::size_t>(h)].data().data();
-    const auto favor = [&](const float* u, std::int64_t e_save, std::int64_t phi_save) {
+    const auto favor = [&](std::int64_t u_save, std::int64_t e_save, std::int64_t phi_save) {
+      const float* u = base + u_save + h * N * dh;
       float* e = base + e_save + h * N * fm;
       backend_->matmul_fwd(u, omega, e, N, dh, fm);
       backend_->favor_fwd(e, u, e, base + phi_save + h * N * fm, N, dh, fm, inv_sqrt_m);
     };
-    favor(q, L.e_q, L.phi_q);
-    favor(k, L.e_k, L.phi_k);
-    float* head_out = base + L.ndh_a;
-    for (std::int64_t g = 0; g < g_; ++g) {
-      const std::int64_t s = batch_->graph_ptr[static_cast<std::size_t>(g)];
-      const std::int64_t len = batch_->graph_ptr[static_cast<std::size_t>(g) + 1] - s;
-      if (len == 0) continue;
-      const float* phi_q = base + L.phi_q + h * N * fm + s * fm;
-      const float* phi_k = base + L.phi_k + h * N * fm + s * fm;
-      float* phikt = base + L.ml_a;
-      kern::transpose_fwd(phi_k, phikt, len, fm);
-      float* kv = base + L.kv + (h * g_ + g) * fm * dh;
-      backend_->matmul_fwd(phikt, v + s * dh, kv, fm, len, dh);
-      float* numer = base + L.numer + h * N * dh + s * dh;
-      backend_->matmul_fwd(phi_q, kv, numer, len, fm, dh);
-      float* ones = base + L.l_ones;
-      std::fill(ones, ones + len, 1.0f);
-      float* z = base + L.z + (h * g_ + g) * fm;
-      backend_->matmul_fwd(phikt, ones, z, fm, len, 1);
-      float* denom = base + L.denom + h * N + s;
-      backend_->matmul_fwd(phi_q, z, denom, len, fm, 1);
-      par::parallel_for(0, len, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) denom[i] += 1e-6f;
-      });
-      par::parallel_for(0, len, par::grain_for(dh), [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i)
-          for (std::int64_t j = 0; j < dh; ++j)
-            head_out[(s + i) * dh + j] = kern::div_colvec1(numer[i * dh + j], denom[i]);
-      });
-    }
-    kern::concat_cols_fwd_part(head_out, out, N, dh, dim, h * dh);
+    favor(L.q, L.e_q, L.phi_q);
+    favor(L.k, L.e_k, L.phi_k);
+    // One call walks every graph: kv, z, numer and denom land in their saves,
+    // the head output in its dh-wide column block of the layer output.
+    backend_->performer_attend_fwd(base + L.phi_q + h * N * fm, base + L.phi_k + h * N * fm,
+                                   base + L.v + h * N * dh, batch_->graph_ptr.data(), g_, dh, fm,
+                                   base + L.kv + h * g_ * fm * dh, base + L.z + h * g_ * fm,
+                                   base + L.numer + h * N * dh, base + L.denom + h * N,
+                                   out + h * dh, dim);
   }
 }
 

@@ -4,11 +4,15 @@
 // to a relative tolerance against scalar; the AVX2 matmul kernels, forward
 // and backward, must also match, bit for bit, an in-test reference of their
 // per-element sequence. The exp kernels (favor_fwd, gate_chain_fwd), whose
-// AVX2 exp is a port of glibc's expf, must match bitwise too.
+// AVX2 exp is a port of glibc's expf, must match bitwise too, and so must the
+// Performer's wide kernels (qkv_fwd, performer_attend_fwd) match the calls
+// they replace, on each backend.
 #include "exec/backend.hpp"
+#include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -301,6 +305,182 @@ TEST(BackendFuzz, Avx2MatmulDbSkipsZerosOnNegativeZeroGradient) {
         avx2->matmul_db(dc.data(), a.data(), db.data(), m, k, n);
         for (const float v : db)
           ASSERT_TRUE(v == 0.0f && std::signbit(v)) << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+// The Performer forward's wide kernels against the calls they replace, on
+// each backend, built from that backend's own matmul_fwd: qkv_fwd against
+// one matmul_fwd per head and role plus the q/k scale passes, and
+// performer_attend_fwd against the per-graph transpose, four matmul_fwd, the
+// ones fill, + 1e-6f and the division.
+
+std::vector<const exec::KernelBackend*> all_backends() {
+  std::vector<const exec::KernelBackend*> out = {&exec::scalar_backend()};
+  if (const exec::KernelBackend* avx2 = exec::avx2_backend()) out.push_back(avx2);
+  return out;
+}
+
+void reference_qkv(const exec::KernelBackend& be, const std::vector<float>& x,
+                   const std::vector<float>& wpack, float* q, float* k, float* v, std::int64_t m,
+                   std::int64_t dim, std::int64_t heads, std::int64_t dh, float scale) {
+  const std::int64_t n = 3 * heads * dh;
+  std::vector<float> w(static_cast<std::size_t>(dim * dh));
+  for (std::int64_t h = 0; h < heads; ++h) {
+    for (std::int64_t r = 0; r < 3; ++r) {
+      for (std::int64_t p = 0; p < dim; ++p)
+        for (std::int64_t j = 0; j < dh; ++j)
+          w[static_cast<std::size_t>(p * dh + j)] =
+              wpack[static_cast<std::size_t>(p * n + (3 * h + r) * dh + j)];
+      float* dst = (r == 0 ? q : r == 1 ? k : v) + h * m * dh;
+      be.matmul_fwd(x.data(), w.data(), dst, m, dim, dh);
+      if (r < 2)
+        for (std::int64_t i = 0; i < m * dh; ++i) dst[i] *= scale;
+    }
+  }
+}
+
+void reference_attend(const exec::KernelBackend& be, const float* phi_q, const float* phi_k,
+                      const float* v, const std::vector<std::int64_t>& graph_ptr, std::int64_t dh,
+                      std::int64_t fm, float* kv, float* z, float* numer, float* denom, float* out,
+                      std::int64_t out_stride) {
+  const auto graphs = static_cast<std::int64_t>(graph_ptr.size()) - 1;
+  for (std::int64_t g = 0; g < graphs; ++g) {
+    const std::int64_t s = graph_ptr[static_cast<std::size_t>(g)];
+    const std::int64_t len = graph_ptr[static_cast<std::size_t>(g) + 1] - s;
+    if (len == 0) continue;
+    std::vector<float> phikt(static_cast<std::size_t>(fm * len));
+    kern::transpose_fwd(phi_k + s * fm, phikt.data(), len, fm);
+    float* kvg = kv + g * fm * dh;
+    float* zg = z + g * fm;
+    be.matmul_fwd(phikt.data(), v + s * dh, kvg, fm, len, dh);
+    be.matmul_fwd(phi_q + s * fm, kvg, numer + s * dh, len, fm, dh);
+    std::vector<float> ones(static_cast<std::size_t>(len));
+    std::fill(ones.begin(), ones.end(), 1.0f);
+    be.matmul_fwd(phikt.data(), ones.data(), zg, fm, len, 1);
+    be.matmul_fwd(phi_q + s * fm, zg, denom + s, len, fm, 1);
+    for (std::int64_t i = s; i < s + len; ++i) denom[i] += 1e-6f;
+    for (std::int64_t i = s; i < s + len; ++i)
+      for (std::int64_t j = 0; j < dh; ++j) out[i * out_stride + j] = numer[i * dh + j] / denom[i];
+  }
+}
+
+// One batch of mixed graph lengths, an empty graph included (its kv and z
+// slots must stay as they were).
+const std::vector<std::int64_t> kGraphLengths = {9, 1, 57, 2, 0, 8, 7};
+
+std::vector<std::int64_t> graph_offsets() {
+  std::vector<std::int64_t> ptr = {0};
+  for (const std::int64_t len : kGraphLengths) ptr.push_back(ptr.back() + len);
+  return ptr;
+}
+
+TEST(BackendFuzz, QkvProjectionMatchesPerHeadCallsBitwise) {
+  Rng rng(7073);
+  const auto m = graph_offsets().back();
+  for (const exec::KernelBackend* be : all_backends()) {
+    for (const std::int64_t heads : {1, 2, 4}) {
+      for (const std::int64_t dim : {16, 32, 48}) {
+        for (const std::int64_t dh : {1, 4, 8, 12}) {
+          const std::int64_t n = 3 * heads * dh;
+          const auto x = random_floats_with_zeros(static_cast<std::size_t>(m * dim), rng);
+          const auto wpack = random_floats_with_zeros(static_cast<std::size_t>(dim * n), rng);
+          const float scale = 1.0f / std::pow(static_cast<float>(dh), 0.25f);
+          const auto dirty = random_floats(static_cast<std::size_t>(3 * heads * m * dh), rng);
+          std::vector<float> want = dirty, got = dirty;
+          const std::size_t save = static_cast<std::size_t>(heads * m * dh);
+          reference_qkv(*be, x, wpack, want.data(), want.data() + save, want.data() + 2 * save, m,
+                        dim, heads, dh, scale);
+          be->qkv_fwd(x.data(), wpack.data(), got.data(), got.data() + save,
+                      got.data() + 2 * save, m, dim, heads, dh, scale);
+          SCOPED_TRACE(be->name());
+          expect_bitwise(want, got, "qkv_fwd heads/dim/dh", heads, dim, dh);
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendFuzz, PerformerAttendMatchesPerGraphCallsBitwise) {
+  Rng rng(8087);
+  const std::vector<std::int64_t> graph_ptr = graph_offsets();
+  const auto graphs = static_cast<std::int64_t>(kGraphLengths.size());
+  const std::int64_t rows = graph_ptr.back();
+  for (const exec::KernelBackend* be : all_backends()) {
+    for (const std::int64_t heads : {1, 2, 4}) {
+      for (const std::int64_t dh : {1, 4, 8, 12}) {
+        for (const std::int64_t fm : {1, 8, 12, 16, 33}) {
+          const auto phi_q = random_floats_with_zeros(static_cast<std::size_t>(rows * fm), rng);
+          const auto phi_k = random_floats_with_zeros(static_cast<std::size_t>(rows * fm), rng);
+          const auto v = random_floats_with_zeros(static_cast<std::size_t>(rows * dh), rng);
+          // Saves [kv | z | numer | denom] and the layer output, all dirty.
+          const std::int64_t kv_n = graphs * fm * dh, z_n = graphs * fm, numer_n = rows * dh;
+          const auto dirty =
+              random_floats(static_cast<std::size_t>(kv_n + z_n + numer_n + rows), rng);
+          const auto dirty_out = random_floats(static_cast<std::size_t>(rows * heads * dh), rng);
+          std::vector<float> want = dirty, got = dirty, want_out = dirty_out, got_out = dirty_out;
+          // The last head's column block: the output stride is heads * dh.
+          const std::int64_t stride = heads * dh, col = (heads - 1) * dh;
+          const auto saves = [&](std::vector<float>& b) {
+            float* kv = b.data();
+            return std::array<float*, 4>{kv, kv + kv_n, kv + kv_n + z_n, kv + kv_n + z_n + numer_n};
+          };
+          const auto w = saves(want), g = saves(got);
+          reference_attend(*be, phi_q.data(), phi_k.data(), v.data(), graph_ptr, dh, fm, w[0],
+                           w[1], w[2], w[3], want_out.data() + col, stride);
+          be->performer_attend_fwd(phi_q.data(), phi_k.data(), v.data(), graph_ptr.data(),
+                                   graphs, dh, fm, g[0], g[1], g[2], g[3], got_out.data() + col,
+                                   stride);
+          SCOPED_TRACE(be->name());
+          expect_bitwise(want, got, "performer_attend_fwd saves heads/dh/fm", heads, dh, fm);
+          expect_bitwise(want_out, got_out, "performer_attend_fwd out heads/dh/fm", heads, dh, fm);
+        }
+      }
+    }
+  }
+}
+
+// The attend's zero-skips, made observable on a -0.0 accumulator. Row 0 of
+// each graph has phi_k = (1e-30, 1e-20, 0, ...) and v = -1e-20, so kv[0,j]
+// underflows to -0.0 and kv[1,j] is the denormal -1e-40; every later row has
+// phi_k = ±0.0 and v = 1. Every row has phi_q = (0, 1e-20, 0, ...), so
+// numer[i,j] underflows to -0.0 at m = 1. An fma of a skipped ±0.0 phi_k or
+// phi_q would turn these -0.0s into +0.0.
+TEST(BackendFuzz, PerformerAttendSkipsZerosOnNegativeZeroAccumulator) {
+  const std::vector<std::int64_t> graph_ptr = graph_offsets();
+  const auto graphs = static_cast<std::int64_t>(kGraphLengths.size());
+  const std::int64_t rows = graph_ptr.back();
+  for (const exec::KernelBackend* be : all_backends()) {
+    for (const std::int64_t dh : {1, 4, 8, 12}) {
+      for (const std::int64_t fm : {8, 12, 16, 33}) {
+        std::vector<float> phi_q(static_cast<std::size_t>(rows * fm), 0.0f);
+        std::vector<float> phi_k(phi_q.size()), v(static_cast<std::size_t>(rows * dh), 1.0f);
+        for (std::int64_t i = 0; i < rows; ++i) {
+          phi_q[static_cast<std::size_t>(i * fm + 1)] = 1e-20f;
+          for (std::int64_t m = 0; m < fm; ++m)
+            phi_k[static_cast<std::size_t>(i * fm + m)] = (i + m) % 2 == 0 ? 0.0f : -0.0f;
+        }
+        for (std::size_t g = 0; g + 1 < graph_ptr.size(); ++g) {
+          const std::int64_t s = graph_ptr[g];
+          if (graph_ptr[g + 1] == s) continue;
+          phi_k[static_cast<std::size_t>(s * fm)] = 1e-30f;
+          phi_k[static_cast<std::size_t>(s * fm + 1)] = 1e-20f;
+          std::fill_n(v.begin() + s * dh, dh, -1e-20f);
+        }
+        const std::int64_t kv_n = graphs * fm * dh, z_n = graphs * fm, numer_n = rows * dh;
+        std::vector<float> want(static_cast<std::size_t>(kv_n + z_n + numer_n + rows), 7.0f);
+        std::vector<float> got = want, want_out(static_cast<std::size_t>(rows * dh), 7.0f);
+        std::vector<float> got_out = want_out;
+        reference_attend(*be, phi_q.data(), phi_k.data(), v.data(), graph_ptr, dh, fm,
+                         want.data(), want.data() + kv_n, want.data() + kv_n + z_n,
+                         want.data() + kv_n + z_n + numer_n, want_out.data(), dh);
+        be->performer_attend_fwd(phi_q.data(), phi_k.data(), v.data(), graph_ptr.data(), graphs,
+                                 dh, fm, got.data(), got.data() + kv_n, got.data() + kv_n + z_n,
+                                 got.data() + kv_n + z_n + numer_n, got_out.data(), dh);
+        SCOPED_TRACE(be->name());
+        expect_bitwise(want, got, "performer_attend_fwd saves dh/fm", 0, dh, fm);
+        expect_bitwise(want_out, got_out, "performer_attend_fwd out dh/fm", 0, dh, fm);
       }
     }
   }

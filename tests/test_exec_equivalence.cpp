@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,14 +111,34 @@ struct ConfigCase {
   GpsConfig config;
 };
 
-std::vector<ConfigCase> config_grid() {
+// Attention shapes beyond small_config's Performer (2 heads, dh 8, fm 8):
+// the Transformer, one head (both attention backwards then alias dhead to
+// the merged gradient), and dh = fm = 12, which is not a multiple of 8.
+std::vector<ConfigCase> attention_shapes() {
   std::vector<ConfigCase> cases;
-  cases.push_back({"default", small_config()});
   {
     GpsConfig c = small_config();
     c.attn = AttnKind::kTransformer;
     cases.push_back({"transformer", c});
   }
+  {
+    GpsConfig c = small_config();
+    c.heads = 1;
+    cases.push_back({"heads1", c});
+  }
+  {
+    GpsConfig c = small_config();
+    c.hidden = 24;
+    c.performer_features = 12;
+    cases.push_back({"dh12_fm12", c});
+  }
+  return cases;
+}
+
+std::vector<ConfigCase> config_grid() {
+  std::vector<ConfigCase> cases;
+  cases.push_back({"default", small_config()});
+  for (const ConfigCase& cc : attention_shapes()) cases.push_back(cc);
   {
     GpsConfig c = small_config();
     c.attn = AttnKind::kNone;
@@ -180,12 +201,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, ExecEquivalence, ::testing::Values(1, 2));
 // Loss + gradient equivalence for every loss kind (training mode, dropout on
 // so the planned path must consume the model RNG in the exact eager order).
 
-void run_grad_case(bool link_task, float alpha, float dropout,
-                   MpnnKind mpnn = MpnnKind::kGatedGcn) {
+void run_grad_case(const GpsConfig& config, bool link_task, float alpha) {
   const ScopedEnv backend("CIRCUITGPS_BACKEND", "scalar");
-  GpsConfig config = small_config();
-  config.dropout = dropout;
-  config.mpnn = mpnn;
   const Fixture& f = fixture();
   const SubgraphBatch batch = f.batch(config);
 
@@ -230,18 +247,45 @@ void run_grad_case(bool link_task, float alpha, float dropout,
   }
 }
 
-TEST(ExecGradEquivalence, BceLoss) { run_grad_case(/*link=*/true, 0.0f, 0.0f); }
-TEST(ExecGradEquivalence, MseLoss) { run_grad_case(/*link=*/false, 0.0f, 0.0f); }
-TEST(ExecGradEquivalence, WeightedMseLoss) { run_grad_case(/*link=*/false, 0.5f, 0.0f); }
-TEST(ExecGradEquivalence, BceWithDropout) { run_grad_case(/*link=*/true, 0.0f, 0.1f); }
-TEST(ExecGradEquivalence, MseWithDropout) { run_grad_case(/*link=*/false, 0.0f, 0.1f); }
+GpsConfig grad_config(float dropout, MpnnKind mpnn = MpnnKind::kGatedGcn) {
+  GpsConfig config = small_config();
+  config.dropout = dropout;
+  config.mpnn = mpnn;
+  return config;
+}
+
+TEST(ExecGradEquivalence, BceLoss) { run_grad_case(grad_config(0.0f), /*link=*/true, 0.0f); }
+TEST(ExecGradEquivalence, MseLoss) { run_grad_case(grad_config(0.0f), /*link=*/false, 0.0f); }
+TEST(ExecGradEquivalence, WeightedMseLoss) {
+  run_grad_case(grad_config(0.0f), /*link=*/false, 0.5f);
+}
+TEST(ExecGradEquivalence, BceWithDropout) { run_grad_case(grad_config(0.1f), /*link=*/true, 0.0f); }
+TEST(ExecGradEquivalence, MseWithDropout) {
+  run_grad_case(grad_config(0.1f), /*link=*/false, 0.0f);
+}
 // GINE gradients, including the eps colvec-broadcast backward.
 TEST(ExecGradEquivalence, GineBce) {
-  run_grad_case(/*link=*/true, 0.0f, 0.0f, MpnnKind::kGine);
+  run_grad_case(grad_config(0.0f, MpnnKind::kGine), /*link=*/true, 0.0f);
 }
 TEST(ExecGradEquivalence, GineBceWithDropout) {
-  run_grad_case(/*link=*/true, 0.0f, 0.1f, MpnnKind::kGine);
+  run_grad_case(grad_config(0.1f, MpnnKind::kGine), /*link=*/true, 0.0f);
 }
+
+// The attention shapes, with dropout on, at 1 and 2 threads.
+class ExecGradShapes : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExecGradShapes, BceAndWeightedMseWithDropout) {
+  par::set_threads(GetParam());
+  for (ConfigCase cc : attention_shapes()) {
+    SCOPED_TRACE(cc.name);
+    cc.config.dropout = 0.1f;
+    run_grad_case(cc.config, /*link=*/true, 0.0f);
+    run_grad_case(cc.config, /*link=*/false, 0.5f);
+  }
+  par::set_threads(2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ExecGradShapes, ::testing::Values(1, 2));
 
 // ---------------------------------------------------------------------------
 // Whole training trajectories: N optimizer steps with dropout must leave both
@@ -378,6 +422,121 @@ TEST(ExecEquivalenceEdgeCases, EmptyEdgeBatchMatchesEager) {
   expect_bits_equal(eager.data(), std::span<const float>(planned, static_cast<std::size_t>(rows)),
                     "forward/empty-edges");
 }
+
+// ---------------------------------------------------------------------------
+// Golden digests: the planned bits of each backend, pinned. FNV-1a runs over
+// the float bits of predict's output, and over the loss followed by every
+// parameter gradient after one forward_loss + backward. The configs are
+// Table II's (the values of bench_gps_config) and its Transformer variant.
+// A kernel rewrite that moves any bit on either backend fails here, at any
+// thread count.
+
+GpsConfig table2_config() {
+  GpsConfig c;
+  c.hidden = 32;
+  c.layers = 2;
+  c.heads = 4;
+  c.performer_features = 16;
+  c.head_hidden = 32;
+  c.dropout = 0.1f;
+  c.mpnn = MpnnKind::kGatedGcn;
+  c.attn = AttnKind::kPerformer;
+  c.pe = PeKind::kDspd;
+  return c;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const float> values) {
+  for (const float v : values) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+struct Digests {
+  std::uint64_t predict = 0;
+  std::uint64_t train = 0;
+};
+
+Digests planned_digests(const GpsConfig& config) {
+  const Fixture& f = fixture();
+  const SubgraphBatch batch = f.batch(config);
+  Digests d;
+  {
+    CircuitGps model(config);
+    model.set_training(false);
+    exec::PlanRunner runner(model);
+    std::int64_t rows = 0;
+    const float* out = runner.predict(batch, &rows);
+    d.predict = fnv1a(kFnvOffset, std::span<const float>(out, static_cast<std::size_t>(rows)));
+  }
+  {
+    CircuitGps model(config);
+    model.set_training(true);
+    exec::PlanRunner runner(model);
+    std::vector<float> values;
+    for (std::int64_t g = 0; g < batch.num_graphs(); ++g)
+      values.push_back(static_cast<float>(g % 2));
+    const float loss = runner.forward_loss(batch, values, 0.0f, /*link=*/true);
+    runner.backward();
+    d.train = fnv1a(kFnvOffset, std::span<const float>(&loss, 1));
+    for (const auto& [name, p] : model.named_parameters()) d.train = fnv1a(d.train, p.grad());
+  }
+  return d;
+}
+
+struct GoldenCase {
+  const char* name;
+  GpsConfig config;
+  Digests scalar;
+  Digests avx2;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  GpsConfig transformer = table2_config();
+  transformer.attn = AttnKind::kTransformer;
+  return {
+      {"table2",
+       table2_config(),
+       {0x9d488303731e534full, 0x6544baae46b6a424ull},
+       {0x9ea7e651050788afull, 0xc0dc71985d43db57ull}},
+      {"table2_transformer",
+       transformer,
+       {0x7cdc84ae02a872f1ull, 0x8bf393e08e4e544bull},
+       {0xe5caad278c155635ull, 0x948a80f10dcb4a1aull}},
+  };
+}
+
+void expect_digests(const char* backend, const GoldenCase& gc, const Digests& want) {
+  const ScopedEnv env("CIRCUITGPS_BACKEND", backend);
+  const Digests got = planned_digests(gc.config);
+  EXPECT_EQ(got.predict, want.predict)
+      << backend << "/" << gc.name << " predict: 0x" << std::hex << got.predict;
+  EXPECT_EQ(got.train, want.train)
+      << backend << "/" << gc.name << " loss+grads: 0x" << std::hex << got.train;
+}
+
+class ExecGoldenDigests : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExecGoldenDigests, Scalar) {
+  par::set_threads(GetParam());
+  for (const GoldenCase& gc : golden_cases()) expect_digests("scalar", gc, gc.scalar);
+  par::set_threads(2);
+}
+
+TEST_P(ExecGoldenDigests, Avx2) {
+  if (exec::avx2_backend() == nullptr) GTEST_SKIP() << "no AVX2+FMA";
+  par::set_threads(GetParam());
+  for (const GoldenCase& gc : golden_cases()) expect_digests("avx2", gc, gc.avx2);
+  par::set_threads(2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ExecGoldenDigests, ::testing::Values(1, 2));
 
 // ---------------------------------------------------------------------------
 // AVX2 backend: values and gradients within 1e-5 relative of the eager
