@@ -18,6 +18,7 @@
 #include "tensor/optim.hpp"
 #include "train/dataset.hpp"
 #include "train/task_data.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
@@ -79,6 +80,53 @@ void BM_SubgraphSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubgraphSampling)->Arg(1)->Arg(2);
+
+// Query pairs shaped like serve_bulk_screen's: ARRAY_128_32 pin/net
+// endpoints 2-4 random-walk hops apart, so the supply rails land in many of
+// their subgraphs.
+std::vector<std::pair<std::int32_t, std::int32_t>> bulk_screen_pairs(const HeteroGraph& g,
+                                                                     std::uint64_t seed,
+                                                                     std::size_t count) {
+  const auto endpoint = [&g](std::int32_t v) {
+    return g.node_type(v) == NodeType::kPin || g.node_type(v) == NodeType::kNet;
+  };
+  Rng rng(seed);
+  std::vector<std::pair<std::int32_t, std::int32_t>> pairs;
+  while (pairs.size() < count) {
+    const auto u = static_cast<std::int32_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(g.num_nodes())));
+    if (!endpoint(u)) continue;
+    std::int32_t v = u;
+    const std::uint64_t hops = 2 + rng.uniform_int(3);
+    for (std::uint64_t h = 0; h < hops && g.degree(v) > 0; ++h)
+      v = g.neighbor(v, static_cast<std::int64_t>(
+                            rng.uniform_int(static_cast<std::uint64_t>(g.degree(v)))))
+              .node;
+    if (v == u || !endpoint(v)) continue;
+    pairs.emplace_back(u, v);
+  }
+  return pairs;
+}
+
+// One extraction per iteration over 256 bulk-screen pairs with the serve
+// daemon's default subgraph options; `adjacency_visited` is the mean count
+// of adjacency entries each extraction read. Outside the micro gate's
+// pinned filter; exported as graph.extract_bulk.real_ns.
+void BM_ExtractBulkScreen(benchmark::State& state) {
+  static const CircuitGraph graph = build_circuit_graph(flatten(gen::array_128_32()));
+  static const auto pairs = bulk_screen_pairs(graph.graph, 19, 256);
+  const Counter& visited = metric_counter("sampling.adjacency_visited");
+  const std::int64_t visited_before = visited.value();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [m, n] = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(
+        extract_enclosing_subgraph(graph.graph, m, n, SubgraphOptions{}).num_nodes());
+  }
+  state.counters["adjacency_visited"] = benchmark::Counter(
+      static_cast<double>(visited.value() - visited_before), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ExtractBulkScreen);
 
 void BM_PeDrnl(benchmark::State& state) {
   GraphFixture& f = fixture();
@@ -428,25 +476,9 @@ struct Table2ForwardFixture {
 
   Table2ForwardFixture() {
     const CircuitGraph graph = build_circuit_graph(flatten(gen::array_128_32()));
-    const HeteroGraph& g = graph.graph;
-    const auto endpoint = [&g](std::int32_t v) {
-      return g.node_type(v) == NodeType::kPin || g.node_type(v) == NodeType::kNet;
-    };
-    Rng rng(18);
     std::vector<Subgraph> subgraphs;
-    while (subgraphs.size() < 16) {
-      const auto u = static_cast<std::int32_t>(
-          rng.uniform_int(static_cast<std::uint64_t>(g.num_nodes())));
-      if (!endpoint(u)) continue;
-      std::int32_t v = u;
-      const std::uint64_t hops = 2 + rng.uniform_int(3);
-      for (std::uint64_t h = 0; h < hops && g.degree(v) > 0; ++h)
-        v = g.neighbor(v, static_cast<std::int64_t>(
-                              rng.uniform_int(static_cast<std::uint64_t>(g.degree(v)))))
-                .node;
-      if (v == u || !endpoint(v)) continue;
-      subgraphs.push_back(extract_enclosing_subgraph(g, u, v, SubgraphOptions{}));
-    }
+    for (const auto& [u, v] : bulk_screen_pairs(graph.graph, 18, 16))
+      subgraphs.push_back(extract_enclosing_subgraph(graph.graph, u, v, SubgraphOptions{}));
     const GpsConfig config = bench::bench_gps_config();
     XcNormalizer normalizer;
     normalizer.fit(graph.xc);
@@ -682,8 +714,9 @@ int main(int argc, char** argv) {
     // kernel pairs, arena vs heap binding, whole-model planned vs eager, the
     // served Table-II forward, the forward matmuls, the training-shaped
     // backward matmuls, the FAVOR+ feature pass and the Performer's packed
-    // projection and attend.
-    static const std::pair<const char*, const char*> kExecAliases[] = {
+    // projection and attend; and for bulk-screen subgraph extraction
+    // (DESIGN.md §11).
+    static const std::pair<const char*, const char*> kAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
         {"BM_ExecGateChainUnfused", "exec.gate_chain.unfused.real_ns"},
@@ -707,8 +740,9 @@ int main(int argc, char** argv) {
         {"BM_ExecFavorFeatures", "exec.favor_fwd.real_ns"},
         {"BM_ExecQkvProjection", "exec.qkv_fwd.real_ns"},
         {"BM_ExecPerformerAttend", "exec.performer_attend.real_ns"},
+        {"BM_ExtractBulkScreen", "graph.extract_bulk.real_ns"},
     };
-    for (const auto& [bench, key] : kExecAliases) {
+    for (const auto& [bench, key] : kAliases) {
       if (row.name == bench)
         report.add_metric(key, to_ns(row.real_time, row.time_unit),
                           cgps::MetricDirection::kLowerIsBetter);

@@ -19,6 +19,7 @@ std::int32_t HeteroGraph::add_node(NodeType type) {
 std::int64_t HeteroGraph::add_edge(std::int32_t a, std::int32_t b, std::int8_t type) {
   if (a < 0 || b < 0 || a >= num_nodes() || b >= num_nodes())
     throw std::invalid_argument("HeteroGraph::add_edge: node out of range");
+  if (a == b) throw std::invalid_argument("HeteroGraph::add_edge: self-loop");
   if (!adj_ptr_.empty())
     throw std::logic_error("HeteroGraph::add_edge: adjacency already built");
   edge_a_.push_back(a);

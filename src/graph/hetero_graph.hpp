@@ -4,6 +4,7 @@
 // Edge types: device-pin = 0, net-pin = 1. Types 2/3/4 (pin-net, pin-pin,
 // net-net coupling) are *links* — prediction targets, never structural
 // edges. Edges are undirected; adjacency is CSR over both directions.
+// Parallel edges are allowed, self-loops are not.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,14 @@ class HeteroGraph {
   void reserve(std::int64_t nodes, std::int64_t edges);
 
   std::int32_t add_node(NodeType type);
-  // Undirected structural edge; returns edge id.
+  // Undirected edge between distinct nodes; returns its id, which counts up
+  // from 0 in insertion order. Throws std::invalid_argument for a node out
+  // of range or a self-loop (a == b).
   std::int64_t add_edge(std::int32_t a, std::int32_t b, std::int8_t type);
 
-  // Build the CSR adjacency (call once after all edges are added).
+  // Build the CSR adjacency (call once after all edges are added). Every
+  // node's list holds one entry per incident edge, in ascending edge id;
+  // subgraph extraction relies on that order (graph/subgraph.cpp).
   void build_adjacency();
   bool adjacency_built() const { return !adj_ptr_.empty(); }
 

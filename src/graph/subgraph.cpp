@@ -1,8 +1,11 @@
 #include "graph/subgraph.hpp"
 
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace cgps {
 
@@ -20,28 +23,27 @@ struct ExtractScratch {
   std::vector<std::int32_t> node_local;   // local id, valid when stamp current
   std::vector<std::int32_t> bfs_stamp;    // epoch when node was seen by this BFS
   std::vector<std::int32_t> bfs_depth;    // depth, valid when bfs_stamp current
-  std::vector<std::int64_t> edge_stamp;   // epoch when edge id was induced
   std::vector<std::int32_t> queue;        // BFS FIFO (index-walked)
+  // (edge id, local id) of the later members' entries that point at the
+  // member being induced from the probe side.
+  std::vector<std::pair<std::int64_t, std::int32_t>> probed;
   std::vector<std::vector<std::int32_t>> local_adj;  // induced adjacency
-  std::int32_t epoch = 0;       // node/edge membership epoch
+  std::int32_t epoch = 0;       // node membership epoch
   std::int32_t bfs_epoch = 0;   // per-anchor BFS epoch
 
   // Growth zero-fills the stamp arrays but keeps both epochs: live epochs
   // are >= 1, so a zeroed stamp never matches, and the stamps another graph
   // left in arrays that did not grow stay below the next epoch. Only the
   // INT32_MAX wrap resets an epoch.
-  void prepare(std::int64_t num_nodes, std::int64_t num_edges) {
+  void prepare(std::int64_t num_nodes) {
     if (static_cast<std::int64_t>(node_stamp.size()) < num_nodes) {
       node_stamp.assign(static_cast<std::size_t>(num_nodes), 0);
       node_local.resize(static_cast<std::size_t>(num_nodes));
       bfs_stamp.assign(static_cast<std::size_t>(num_nodes), 0);
       bfs_depth.resize(static_cast<std::size_t>(num_nodes));
     }
-    if (static_cast<std::int64_t>(edge_stamp.size()) < num_edges)
-      edge_stamp.assign(static_cast<std::size_t>(num_edges), 0);
     if (epoch == INT32_MAX) {
       std::fill(node_stamp.begin(), node_stamp.end(), 0);
-      std::fill(edge_stamp.begin(), edge_stamp.end(), 0);
       epoch = 0;
     }
     if (bfs_epoch >= INT32_MAX - 2) {
@@ -84,13 +86,14 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
     throw std::logic_error("extract_enclosing_subgraph: adjacency not built");
   if (m < 0 || m >= graph.num_nodes())
     throw std::invalid_argument("extract_enclosing_subgraph: bad anchor m");
-  const bool link_task = n >= 0 && n != m;
-  if (n >= graph.num_nodes())
+  if (n < -1 || n >= graph.num_nodes())
     throw std::invalid_argument("extract_enclosing_subgraph: bad anchor n");
+  const bool link_task = n >= 0 && n != m;
 
   ExtractScratch& scratch = tl_scratch;
-  scratch.prepare(graph.num_nodes(), graph.num_edges());
+  scratch.prepare(graph.num_nodes());
   const std::int32_t epoch = scratch.epoch;
+  std::int64_t reads = 0;  // adjacency entries read by the BFS and the induction
 
   Subgraph sg;
   auto add_node = [&](std::int32_t orig) -> std::int32_t {
@@ -123,6 +126,7 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
       if (dv >= options.hops) continue;
       for (std::int64_t k = 0; k < graph.degree(v); ++k) {
         const std::int32_t u = graph.neighbor(v, k).node;
+        ++reads;
         if (scratch.bfs_stamp[static_cast<std::size_t>(u)] == bfs_epoch) continue;
         if (budget >= 0 && visited >= budget) return;
         scratch.bfs_stamp[static_cast<std::size_t>(u)] = bfs_epoch;
@@ -136,35 +140,65 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
   bfs_collect(m);
   if (link_task) bfs_collect(n);
 
-  // Induce edges: every edge with both endpoints in the set, deduplicated by
-  // original edge id, expanded to both directions. The direct anchor-anchor
-  // edge is dropped: when the target link was injected into the graph
-  // (SEAL-style), keeping it would leak the label being predicted.
+  // Induce edges: every edge with both endpoints in the set, expanded to both
+  // directions. Member lv emits its edges to the later members lu > lv in its
+  // own adjacency order (ascending edge id, see HeteroGraph); its edges to
+  // earlier members were emitted by those members. The direct anchor-anchor
+  // edge (local 0 to local 1) is dropped: when the target link was injected
+  // into the graph (SEAL-style), keeping it would leak the label being
+  // predicted.
   const std::size_t n_local = sg.orig_nodes.size();
   if (scratch.local_adj.size() < n_local) scratch.local_adj.resize(n_local);
   for (std::size_t i = 0; i < n_local; ++i) scratch.local_adj[i].clear();
   std::vector<std::vector<std::int32_t>>& local_adj = scratch.local_adj;
+  auto induce = [&](std::int32_t lv, std::int32_t lu, std::int64_t edge_id) {
+    if (link_task && lv == 0 && lu == 1) return;
+    const std::int8_t type = graph.edge_type(edge_id);
+    sg.edges.src.push_back(lv);
+    sg.edges.dst.push_back(lu);
+    sg.edge_type.push_back(type);
+    sg.edges.src.push_back(lu);
+    sg.edges.dst.push_back(lv);
+    sg.edge_type.push_back(type);
+    local_adj[static_cast<std::size_t>(lv)].push_back(lu);
+    local_adj[static_cast<std::size_t>(lu)].push_back(lv);
+  };
+  // Each member's edges come from whichever side reads fewer entries: its own
+  // adjacency, or the entries of the later members' adjacency that point at
+  // it, sorted by edge id into the order its own list has. A supply rail
+  // holds thousands of entries but meets a subgraph's later members only a
+  // few times, so it costs the later members' degree sum, not its own.
+  std::int64_t later_degree = 0;  // summed degree of the members after lv
+  for (std::size_t lv = 0; lv < n_local; ++lv) later_degree += graph.degree(sg.orig_nodes[lv]);
   for (std::size_t lv = 0; lv < n_local; ++lv) {
     const std::int32_t v = sg.orig_nodes[lv];
-    for (std::int64_t k = 0; k < graph.degree(v); ++k) {
-      const auto [u, edge_id] = graph.neighbor(v, k);
-      if (link_task && ((v == m && u == n) || (v == n && u == m))) continue;
-      if (scratch.node_stamp[static_cast<std::size_t>(u)] != epoch) continue;
-      if (scratch.edge_stamp[static_cast<std::size_t>(edge_id)] == epoch) continue;
-      scratch.edge_stamp[static_cast<std::size_t>(edge_id)] = epoch;
-      const std::int32_t lu = scratch.node_local[static_cast<std::size_t>(u)];
-      const auto lv32 = static_cast<std::int32_t>(lv);
-      const std::int8_t type = graph.edge_type(edge_id);
-      sg.edges.src.push_back(lv32);
-      sg.edges.dst.push_back(lu);
-      sg.edge_type.push_back(type);
-      sg.edges.src.push_back(lu);
-      sg.edges.dst.push_back(lv32);
-      sg.edge_type.push_back(type);
-      local_adj[lv].push_back(lu);
-      local_adj[static_cast<std::size_t>(lu)].push_back(lv32);
+    const auto lv32 = static_cast<std::int32_t>(lv);
+    const std::int64_t degree = graph.degree(v);
+    later_degree -= degree;
+    if (degree <= later_degree) {
+      reads += degree;
+      for (std::int64_t k = 0; k < degree; ++k) {
+        const auto [u, edge_id] = graph.neighbor(v, k);
+        if (scratch.node_stamp[static_cast<std::size_t>(u)] != epoch) continue;
+        const std::int32_t lu = scratch.node_local[static_cast<std::size_t>(u)];
+        if (lu > lv32) induce(lv32, lu, edge_id);
+      }
+    } else {
+      reads += later_degree;
+      scratch.probed.clear();
+      for (std::size_t lu = lv + 1; lu < n_local; ++lu) {
+        const std::int32_t u = sg.orig_nodes[lu];
+        for (std::int64_t k = 0; k < graph.degree(u); ++k) {
+          const auto [w, edge_id] = graph.neighbor(u, k);
+          if (w == v) scratch.probed.emplace_back(edge_id, static_cast<std::int32_t>(lu));
+        }
+      }
+      std::sort(scratch.probed.begin(), scratch.probed.end());
+      for (const auto& [edge_id, lu] : scratch.probed) induce(lv32, lu, edge_id);
     }
   }
+  static Counter& adjacency_visited = metric_counter("sampling.adjacency_visited");
+  adjacency_visited.add(reads);
 
   // DSPD within the subgraph.
   const TraceSpan dspd_span("sampling.dspd");

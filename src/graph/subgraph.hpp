@@ -48,7 +48,15 @@ struct SubgraphOptions {
 };
 
 // Extract the enclosing subgraph for link (m, n); pass n = -1 (or n == m)
-// for a single-anchor node-task subgraph.
+// for a single-anchor node-task subgraph. An anchor out of range, or any
+// other negative n, throws std::invalid_argument.
+//
+// Cost follows the subgraph, not the host graph. The BFS reads the
+// adjacency of the nodes it expands, stopping at `max_nodes_per_anchor`.
+// Inducing the edges then reads, per member v, min(deg v, summed degree of
+// the members after v) entries: a supply rail with thousands of pins costs
+// what its later members hold. The entries read by both phases are added
+// to the `sampling.adjacency_visited` counter.
 Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, std::int32_t n,
                                     const SubgraphOptions& options = {});
 

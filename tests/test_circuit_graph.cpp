@@ -130,5 +130,37 @@ TEST(HeteroGraphBasics, AdjacencyErrors) {
   EXPECT_EQ(g.neighbor(a, 0).node, b);
 }
 
+// Subgraph extraction reads a node's edges from its neighbors' lists and
+// sorts them by edge id, so every list must be in ascending edge id and a
+// self-loop (invisible from the neighbor side) must be refused.
+TEST(HeteroGraphBasics, SelfLoopThrowsAndParallelEdgesListInIdOrder) {
+  HeteroGraph g;
+  const auto a = g.add_node(NodeType::kNet);
+  const auto b = g.add_node(NodeType::kPin);
+  const auto c = g.add_node(NodeType::kPin);
+  EXPECT_THROW(g.add_edge(a, a, kEdgeNetPin), std::invalid_argument);
+  EXPECT_EQ(g.add_edge(a, b, kEdgeNetPin), 0);
+  EXPECT_EQ(g.add_edge(c, a, kEdgeNetPin), 1);
+  EXPECT_EQ(g.add_edge(b, a, kEdgeDevicePin), 2);
+  EXPECT_THROW(g.add_edge(b, b, kEdgeNetPin), std::invalid_argument);
+  EXPECT_EQ(g.add_edge(a, b, kEdgeNetPin), 3);
+  EXPECT_EQ(g.add_edge(a, c, kEdgeNetPin), 4);
+  g.build_adjacency();
+  ASSERT_EQ(g.num_edges(), 5);
+
+  const std::vector<std::int32_t> a_nodes = {b, c, b, b, c};
+  ASSERT_EQ(g.degree(a), 5);
+  for (std::int64_t k = 0; k < g.degree(a); ++k) {
+    EXPECT_EQ(g.neighbor(a, k).edge, k);
+    EXPECT_EQ(g.neighbor(a, k).node, a_nodes[static_cast<std::size_t>(k)]);
+  }
+  const std::vector<std::int64_t> b_edges = {0, 2, 3};
+  ASSERT_EQ(g.degree(b), 3);
+  for (std::int64_t k = 0; k < g.degree(b); ++k) {
+    EXPECT_EQ(g.neighbor(b, k).edge, b_edges[static_cast<std::size_t>(k)]);
+    EXPECT_EQ(g.neighbor(b, k).node, a);
+  }
+}
+
 }  // namespace
 }  // namespace cgps
