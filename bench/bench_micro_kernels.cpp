@@ -4,6 +4,7 @@
 #include "common.hpp"
 #include "exec/arena.hpp"
 #include "exec/backend.hpp"
+#include "exec/gps_program.hpp"
 #include "exec/runner.hpp"
 #include "gen/designs.hpp"
 #include "gps/batch.hpp"
@@ -493,8 +494,13 @@ struct Table2ForwardFixture {
   }
 };
 
-void BM_ExecPlannedForwardTable2(benchmark::State& state) {
+Table2ForwardFixture& table2_fixture() {
   static Table2ForwardFixture f;
+  return f;
+}
+
+void BM_ExecPlannedForwardTable2(benchmark::State& state) {
+  Table2ForwardFixture& f = table2_fixture();
   for (auto _ : state) {
     std::int64_t rows = 0;
     benchmark::DoNotOptimize(f.runner->predict(f.batch, &rows));
@@ -502,6 +508,20 @@ void BM_ExecPlannedForwardTable2(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(f.batch.num_nodes());
 }
 BENCHMARK(BM_ExecPlannedForwardTable2);
+
+// One Executor::bind of the same batch to the inference plan per iteration:
+// shapes, the head-statistics partition, index groupings and the arena
+// carve. Outside the micro gate's pinned filter; exported as
+// exec.bind.planned_table2.real_ns.
+void BM_ExecPlannedBindTable2(benchmark::State& state) {
+  Table2ForwardFixture& f = table2_fixture();
+  exec::Executor exec(exec::compile(exec::build_program(*f.model, false, exec::LossKind::kNone)));
+  for (auto _ : state) {
+    exec.bind(f.batch, nullptr, nullptr);
+    benchmark::DoNotOptimize(exec.arena_bytes());
+  }
+}
+BENCHMARK(BM_ExecPlannedBindTable2);
 
 void BM_ExecEagerTrainStep(benchmark::State& state) {
   ExecBenchFixture& f = exec_fixture();
@@ -712,10 +732,10 @@ int main(int argc, char** argv) {
                         cgps::MetricDirection::kLowerIsBetter);
     // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
     // kernel pairs, arena vs heap binding, whole-model planned vs eager, the
-    // served Table-II forward, the forward matmuls, the training-shaped
-    // backward matmuls, the FAVOR+ feature pass and the Performer's packed
-    // projection and attend; and for bulk-screen subgraph extraction
-    // (DESIGN.md §11).
+    // served Table-II forward and its bind, the forward matmuls, the
+    // training-shaped backward matmuls, the FAVOR+ feature pass and the
+    // Performer's packed projection and attend; and for bulk-screen subgraph
+    // extraction (DESIGN.md §11).
     static const std::pair<const char*, const char*> kAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
@@ -728,6 +748,7 @@ int main(int argc, char** argv) {
         {"BM_ExecEagerTrainStep", "exec.train_step.eager.real_ns"},
         {"BM_ExecPlannedTrainStep", "exec.train_step.planned.real_ns"},
         {"BM_ExecPlannedForwardTable2", "exec.forward.planned_table2.real_ns"},
+        {"BM_ExecPlannedBindTable2", "exec.bind.planned_table2.real_ns"},
         {"BM_ExecNarrowMatmul/32/96", "exec.matmul_fwd.n96.real_ns"},
         {"BM_ExecNarrowMatmul/32/32", "exec.matmul_fwd.n32.real_ns"},
         {"BM_ExecNarrowMatmul/8/16", "exec.matmul_fwd.n16.real_ns"},

@@ -94,8 +94,8 @@ std::int64_t Executor::aux_floats(int id) {
     case Op::kDropout:
       return m * c;
     case Op::kBatchNorm:
-      // [mean c][var c][invstd c][xhat m*c]
-      return align_up(c) * 3 + m * c;
+      // [mean c][var c][invstd c][xhat m*c]; a one-pass BatchNorm keeps no xhat.
+      return align_up(c) * 3 + (bn_one_pass(id) ? 0 : m * c);
     case Op::kMultihead:
     case Op::kPerformer: {
       MegaLayout& L = mega_[static_cast<std::size_t>(id)];
@@ -221,7 +221,10 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
         group_over = rows_[id];
         needed = true;
       }
-      if (needed && work > kern::kScatterSerialCutoff) {
+      // At pool width 1 the kernels take their serial loop and never read
+      // the groups. A kernel run at a larger width than bind saw meets null
+      // groups and groups locally, with the same bits.
+      if (needed && work > kern::kScatterSerialCutoff && par::max_threads() > 1) {
         groups_storage_[id] = kern::group_rows(index_array(d.src), count, group_over);
         groups_[id] = &groups_storage_[id];
       }
@@ -501,17 +504,28 @@ void Executor::fwd_batchnorm(int id) {
   float* mean = base;
   float* var = base + align_up(c);
   float* invstd = base + 2 * align_up(c);
-  float* xhat = base + 3 * align_up(c);
   const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
+  const float* gamma = val_[static_cast<std::size_t>(d.inputs[1])];
+  const float* beta = val_[static_cast<std::size_t>(d.inputs[2])];
+  float* out = val_[static_cast<std::size_t>(id)];
   if (d.training)
     kern::bn_stats_train(x, m, c, mean, var, invstd, d.running_mean->data(),
                          d.running_var->data(), d.momentum, d.eps);
   else
     kern::bn_stats_eval(d.running_mean->data(), d.running_var->data(), c, d.eps, mean, invstd);
+  if (bn_one_pass(id)) {
+    kern::bn_fwd_one_pass(x, mean, invstd, gamma, beta, out, m, c);
+    return;
+  }
+  float* xhat = base + 3 * align_up(c);
   kern::bn_xhat(x, mean, invstd, xhat, m, c);
-  kern::bn_fwd_out(val_[static_cast<std::size_t>(d.inputs[1])],
-                   val_[static_cast<std::size_t>(d.inputs[2])], xhat,
-                   val_[static_cast<std::size_t>(id)], m, c);
+  kern::bn_fwd_out(gamma, beta, xhat, out, m, c);
+}
+
+bool Executor::bn_one_pass(int id) const {
+  // Eval mode and no backward step, so nothing reads xhat.
+  return !plan_.prog.nodes[static_cast<std::size_t>(id)].training &&
+         plan_.node_bwd_step[static_cast<std::size_t>(id)] < 0;
 }
 
 bool Executor::is_mega(int id) const {

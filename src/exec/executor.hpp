@@ -88,6 +88,7 @@ class Executor {
   void fwd_performer(int id);
   void bwd_performer(int id);
   void fwd_batchnorm(int id);
+  bool bn_one_pass(int id) const;
   void bwd_batchnorm(int id);
   void bwd_linear(const Step& step, const float* dyb);
   bool input_rg(int id, std::size_t slot) const;

@@ -18,15 +18,17 @@ std::int64_t pe_width(const GpsConfig& c) { return std::max<std::int64_t>(4, c.h
 // Emission helper. Every method appends nodes in the exact order the eager
 // forward creates the corresponding tensors, with NodeDef::inputs matching
 // the eager parent order — the two invariants the plan compiler's tape
-// replay and the executor's RNG stream both rely on.
+// replay and the executor's RNG stream both rely on. An inference program
+// has neither a tape nor a dropout draw, so linear_of may reorder it.
 struct Builder {
-  Builder(const CircuitGps& model, bool training) : model_(model), training_(training) {
+  Builder(const CircuitGps& model, bool training, LossKind loss) : model_(model) {
+    prog.training = training;
+    prog.loss_kind = loss;
     for (auto& [name, tensor] : model.named_parameters()) params_.emplace(name, tensor);
     for (auto& [name, buffer] : model.named_buffers()) buffers_.emplace(name, buffer);
   }
 
   const CircuitGps& model_;
-  bool training_;
   Program prog;
   std::unordered_map<std::string, Tensor> params_;
   std::unordered_map<std::string, std::vector<float>*> buffers_;
@@ -148,6 +150,25 @@ struct Builder {
     return push(std::move(d));
   }
 
+  // linear(prefix, x), where x may be a gather. An inference program runs
+  // the linear on the gather's source and gathers its output instead when
+  // the gather has more rows than its source: edge rows gathered from node
+  // rows (every subgraph is connected around its anchors, so a batch holds
+  // about two directed edges per node) or from a per-type table. Both
+  // backends compute each output row of a linear from its input row alone,
+  // so gather(x)·W + b and gather(x·W + b) agree bit for bit. A program with
+  // a backward keeps eager's order, which fixes its dW summation order.
+  int linear_of(const std::string& prefix, int x) {
+    const NodeDef& g = at(x);
+    const bool widens = g.op == Op::kGather && g.idx_rows == RowsSym::kE &&
+                        (at(g.inputs[0]).rows == RowsSym::kN ||
+                         at(g.inputs[0]).rows == RowsSym::kFixed);
+    if (!prog.inference() || !widens) return linear(prefix, x);
+    const int source = g.inputs[0];
+    const SrcKind src = g.src;
+    return gather(linear(prefix, source), src, RowsSym::kE);
+  }
+
   int gather(int x, SrcKind src, RowsSym idx_rows) {
     NodeDef d;
     d.op = Op::kGather;
@@ -207,7 +228,7 @@ struct Builder {
     d.fixed_rows = at(x).fixed_rows;
     d.cols = at(x).cols;
     d.requires_grad = rg(x) || rg(gamma) || rg(beta);
-    d.training = training_;
+    d.training = prog.training;
     d.running_mean = buffers_.at(prefix + ".running_mean");
     d.running_var = buffers_.at(prefix + ".running_var");
     return push(std::move(d));
@@ -220,7 +241,7 @@ struct Builder {
       h = linear(prefix + ".linear" + std::to_string(i), h);
       if (i + 1 < num_linears) {
         h = unary(Op::kRelu, h);
-        if (training_ && p > 0.0f) h = dropout(h, p);
+        if (prog.training && p > 0.0f) h = dropout(h, p);
       }
     }
     return h;
@@ -267,23 +288,27 @@ struct Builder {
       // nn::GatedGcn::forward, emitted unconditionally: at E == 0 every
       // edge-indexed kernel is a no-op and x_new == x_self (the eager
       // early-return), bn_edge becomes a full no-op at bind time.
+      // In an inference program lin_src, lin_dst and lin_msg run on the
+      // node rows and layer 0's lin_edge on the edge_emb table (linear_of);
+      // the xs/xd gathers are then unread and compile() drops them, as it
+      // drops the last layer's e + e_hat and bn_edge.
       const int x_self = linear(P + "mpnn.lin_self", x);
       const int xs = gather(x, SrcKind::kEdgeSrc, RowsSym::kE);
       const int xd = gather(x, SrcKind::kEdgeDst, RowsSym::kE);
       // Sequenced explicitly: each linear() emits nodes, and argument
       // evaluation order inside one call expression is unspecified.
-      const int s_src = linear(P + "mpnn.lin_src", xs);
-      const int s_dst = linear(P + "mpnn.lin_dst", xd);
+      const int s_src = linear_of(P + "mpnn.lin_src", xs);
+      const int s_dst = linear_of(P + "mpnn.lin_dst", xd);
       const int sum_sd = binary(Op::kAdd, s_src, s_dst);
-      const int s_edge = linear(P + "mpnn.lin_edge", e);
+      const int s_edge = linear_of(P + "mpnn.lin_edge", e);
       const int e_hat = binary(Op::kAdd, sum_sd, s_edge);
       const int eta = unary(Op::kSigmoid, e_hat);
-      const int msg = binary(Op::kMul, eta, linear(P + "mpnn.lin_msg", xs));
+      const int msg = binary(Op::kMul, eta, linear_of(P + "mpnn.lin_msg", xs));
       const int numer = scatter_add(msg, SrcKind::kEdgeDst, RowsSym::kE, RowsSym::kN);
       const int denom =
           add_scalar(scatter_add(eta, SrcKind::kEdgeDst, RowsSym::kE, RowsSym::kN), 1e-6f);
       int xm = binary(Op::kAdd, x_self, binary(Op::kDiv, numer, denom));
-      if (training_ && p > 0.0f) xm = dropout(xm, p);
+      if (prog.training && p > 0.0f) xm = dropout(xm, p);
       sum = batchnorm(P + "bn_mpnn", binary(Op::kAdd, x, xm));
       e_out = batchnorm(P + "bn_edge", binary(Op::kAdd, e, e_hat));
     } else if (cfg.mpnn == MpnnKind::kGine) {
@@ -304,18 +329,18 @@ struct Builder {
       // Gine's internal Mlp is constructed with dropout 0 (nn/gine.cpp); the
       // layer-level dropout below is GpsLayer's own.
       int xm = mlp(P + "mpnn.mlp", binary(Op::kAdd, scaled_self, agg), 2, 0.0f);
-      if (training_ && p > 0.0f) xm = dropout(xm, p);
+      if (prog.training && p > 0.0f) xm = dropout(xm, p);
       sum = batchnorm(P + "bn_mpnn", binary(Op::kAdd, x, xm));
     }
     if (cfg.attn != AttnKind::kNone) {
       int xa = linear(P + "attn.out", mega(P + "attn", x, l));
-      if (training_ && p > 0.0f) xa = dropout(xa, p);
+      if (prog.training && p > 0.0f) xa = dropout(xa, p);
       const int ha = batchnorm(P + "bn_attn", binary(Op::kAdd, x, xa));
       sum = sum >= 0 ? binary(Op::kAdd, sum, ha) : ha;
     }
     if (sum < 0) sum = x;
     int fused = mlp(P + "fuse_mlp", sum, 2, p);
-    if (training_ && p > 0.0f) fused = dropout(fused, p);
+    if (prog.training && p > 0.0f) fused = dropout(fused, p);
     const int x_out = batchnorm(P + "bn_fuse", binary(Op::kAdd, sum, fused));
     return {x_out, e_out};
   }
@@ -366,7 +391,7 @@ struct Builder {
 
 Program build_program(const CircuitGps& model, bool training, LossKind loss) {
   const GpsConfig& cfg = model.config();
-  Builder b(model, training);
+  Builder b(model, training, loss);
 
   // CircuitGps::forward, statement for statement.
   const int node_e = b.gather(b.param("node_emb.weight"), SrcKind::kNodeType, RowsSym::kN);
@@ -390,8 +415,6 @@ Program build_program(const CircuitGps& model, bool training, LossKind loss) {
   }
   const int out = b.mlp("head_mlp", pooled, 2, cfg.dropout);
   b.prog.output = out;
-  b.prog.training = training;
-  b.prog.loss_kind = loss;
 
   switch (loss) {
     case LossKind::kNone:

@@ -7,7 +7,9 @@
 // vector of each node lists its operands in the exact order the eager op
 // passes parents to Tensor::make — the backward schedule is derived by
 // replaying the eager tape DFS over this graph (plan.cpp), which is what
-// makes scalar planned execution bit-identical to eager.
+// makes scalar planned execution bit-identical to eager. An inference
+// program (Program::inference) has no backward, so it may run a linear
+// ahead of the gather that feeds it instead (gps_program.cpp).
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -145,6 +147,12 @@ struct Program {
   int loss = -1;    // loss root node (scalar), -1 when LossKind::kNone
   bool training = false;
   LossKind loss_kind = LossKind::kNone;
+
+  // No loss and eval mode, as every PlanRunner::predict records: there is no
+  // backward, and no step has a side effect (no dropout draw, no BatchNorm
+  // statistics update). Only these programs take the inference rewrites of
+  // DESIGN.md §10.
+  bool inference() const { return loss_kind == LossKind::kNone && !training; }
 };
 
 }  // namespace cgps::exec

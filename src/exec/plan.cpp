@@ -102,6 +102,22 @@ Plan compile(Program prog) {
   Plan plan;
   const int n = static_cast<int>(prog.nodes.size());
 
+  // ---- dead values (inference programs) ----
+  // An inference program keeps only the nodes its output reads, directly or
+  // through other nodes: the rest get no step and no arena slot. Its steps
+  // have no side effects, so dropping one changes no bit of the output.
+  // Nodes are recorded after their inputs, so one backward sweep suffices.
+  std::vector<char> live(static_cast<std::size_t>(n), 1);
+  if (prog.inference()) {
+    std::fill(live.begin(), live.end(), 0);
+    live[static_cast<std::size_t>(prog.output)] = 1;
+    for (int id = n - 1; id >= 0; --id)
+      if (live[static_cast<std::size_t>(id)] != 0)
+        for (int in : prog.nodes[static_cast<std::size_t>(id)].inputs)
+          live[static_cast<std::size_t>(in)] = 1;
+  }
+  const auto is_live = [&](int id) { return live[static_cast<std::size_t>(id)] != 0; };
+
   // ---- consumer census (fusion legality + grad liveness) ----
   std::vector<std::vector<int>> consumers(static_cast<std::size_t>(n));
   std::vector<int> uses(static_cast<std::size_t>(n), 0);
@@ -149,6 +165,7 @@ Plan compile(Program prog) {
   };
   std::vector<Step> fused_steps(static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
+    if (!is_live(id)) continue;  // a dead anchor must not absorb a live member
     const NodeDef& d = node(id);
     // linear+bias(+relu): matmul and add_rowvec outputs are single-use
     // intermediates recorded consecutively by the builder.
@@ -198,7 +215,7 @@ Plan compile(Program prog) {
   // ---- forward schedule ----
   for (int id = 0; id < n; ++id) {
     const Op op = node(id).op;
-    if (is_source(op)) continue;
+    if (is_source(op) || !is_live(id)) continue;
     if (fused_member[static_cast<std::size_t>(id)]) continue;
     if (fused_head[static_cast<std::size_t>(id)])
       plan.fwd.push_back(fused_steps[static_cast<std::size_t>(id)]);

@@ -17,20 +17,15 @@ std::size_t slot_of(bool training, LossKind loss) {
 PlanRunner::PlanRunner(CircuitGps& model) : model_(model) {}
 
 void PlanRunner::check_freeze_mask() {
-  const auto params = model_.named_parameters();
-  bool same = rg_mask_.size() == params.size();
-  if (same) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      if (rg_mask_[i] != static_cast<char>(params[i].second.requires_grad())) {
-        same = false;
-        break;
-      }
-    }
-  }
+  // The handles outlive every state change the runner meets: checkpoint
+  // loads, copy_state and reset_head copy into these same tensors.
+  if (params_.empty()) params_ = model_.parameters();
+  bool same = rg_mask_.size() == params_.size();
+  for (std::size_t i = 0; same && i < params_.size(); ++i)
+    same = rg_mask_[i] == static_cast<char>(params_[i].requires_grad());
   if (same) return;
   rg_mask_.clear();
-  rg_mask_.reserve(params.size());
-  for (const auto& [name, p] : params) rg_mask_.push_back(static_cast<char>(p.requires_grad()));
+  for (const Tensor& p : params_) rg_mask_.push_back(static_cast<char>(p.requires_grad()));
   for (auto& entry : cache_) entry.reset();
   last_ = nullptr;
 }

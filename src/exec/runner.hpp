@@ -44,7 +44,8 @@ class PlanRunner {
   // (train x {bce, mse, wmse}, eval x none) but the flat array keeps lookup
   // trivial.
   std::array<std::unique_ptr<Executor>, 8> cache_;
-  std::vector<char> rg_mask_;      // parameter requires_grad snapshot
+  std::vector<Tensor> params_;     // the model's parameters, fetched on first use
+  std::vector<char> rg_mask_;      // their requires_grad snapshot
   std::vector<float> target_;      // per-batch labels/targets (kept alive through bind)
   std::vector<float> weight_;      // kWeightedMse per-row weights
   Executor* last_ = nullptr;       // executor of the most recent forward_loss

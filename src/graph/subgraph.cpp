@@ -15,15 +15,21 @@ namespace {
 // batch assembly, the serve batching thread, par:: workers) where per-call
 // hash maps and queues dominate the cost for small subgraphs; epoch-stamped
 // flat arrays over the host graph make every membership probe one array
-// load and make the whole call allocation-free after warmup. Visit and
-// insertion order are identical to the hash-map formulation, so extraction
-// output is bit-for-bit unchanged.
+// load. Members and induced edges also collect here, so after warmup a call
+// allocates only its output vectors, each once at its exact size (no spare
+// capacity: training keeps its subgraphs). Visit and insertion order are
+// identical to the hash-map formulation, so extraction output is
+// bit-for-bit unchanged.
 struct ExtractScratch {
   std::vector<std::int32_t> node_stamp;   // epoch when node entered the subgraph
   std::vector<std::int32_t> node_local;   // local id, valid when stamp current
   std::vector<std::int32_t> bfs_stamp;    // epoch when node was seen by this BFS
   std::vector<std::int32_t> bfs_depth;    // depth, valid when bfs_stamp current
   std::vector<std::int32_t> queue;        // BFS FIFO (index-walked)
+  std::vector<std::int32_t> members;      // local id -> host node
+  std::vector<std::int8_t> member_type;   // local id -> NodeType code
+  EdgeIndex edges;                        // induced directed edges
+  std::vector<std::int8_t> edge_type;
   // (edge id, local id) of the later members' entries that point at the
   // member being induced from the probe side.
   std::vector<std::pair<std::int64_t, std::int32_t>> probed;
@@ -52,6 +58,11 @@ struct ExtractScratch {
     }
     ++epoch;
     queue.clear();
+    members.clear();
+    member_type.clear();
+    edges.src.clear();
+    edges.dst.clear();
+    edge_type.clear();
   }
 };
 
@@ -96,13 +107,14 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
   std::int64_t reads = 0;  // adjacency entries read by the BFS and the induction
 
   Subgraph sg;
+  std::vector<std::int32_t>& members = scratch.members;
   auto add_node = [&](std::int32_t orig) -> std::int32_t {
     const auto o = static_cast<std::size_t>(orig);
     if (scratch.node_stamp[o] != epoch) {
       scratch.node_stamp[o] = epoch;
-      scratch.node_local[o] = static_cast<std::int32_t>(sg.orig_nodes.size());
-      sg.orig_nodes.push_back(orig);
-      sg.node_type.push_back(static_cast<std::int8_t>(graph.node_type(orig)));
+      scratch.node_local[o] = static_cast<std::int32_t>(members.size());
+      members.push_back(orig);
+      scratch.member_type.push_back(static_cast<std::int8_t>(graph.node_type(orig)));
     }
     return scratch.node_local[o];
   };
@@ -147,19 +159,19 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
   // edge (local 0 to local 1) is dropped: when the target link was injected
   // into the graph (SEAL-style), keeping it would leak the label being
   // predicted.
-  const std::size_t n_local = sg.orig_nodes.size();
+  const std::size_t n_local = members.size();
   if (scratch.local_adj.size() < n_local) scratch.local_adj.resize(n_local);
   for (std::size_t i = 0; i < n_local; ++i) scratch.local_adj[i].clear();
   std::vector<std::vector<std::int32_t>>& local_adj = scratch.local_adj;
   auto induce = [&](std::int32_t lv, std::int32_t lu, std::int64_t edge_id) {
     if (link_task && lv == 0 && lu == 1) return;
     const std::int8_t type = graph.edge_type(edge_id);
-    sg.edges.src.push_back(lv);
-    sg.edges.dst.push_back(lu);
-    sg.edge_type.push_back(type);
-    sg.edges.src.push_back(lu);
-    sg.edges.dst.push_back(lv);
-    sg.edge_type.push_back(type);
+    scratch.edges.src.push_back(lv);
+    scratch.edges.dst.push_back(lu);
+    scratch.edge_type.push_back(type);
+    scratch.edges.src.push_back(lu);
+    scratch.edges.dst.push_back(lv);
+    scratch.edge_type.push_back(type);
     local_adj[static_cast<std::size_t>(lv)].push_back(lu);
     local_adj[static_cast<std::size_t>(lu)].push_back(lv);
   };
@@ -169,9 +181,9 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
   // holds thousands of entries but meets a subgraph's later members only a
   // few times, so it costs the later members' degree sum, not its own.
   std::int64_t later_degree = 0;  // summed degree of the members after lv
-  for (std::size_t lv = 0; lv < n_local; ++lv) later_degree += graph.degree(sg.orig_nodes[lv]);
+  for (std::size_t lv = 0; lv < n_local; ++lv) later_degree += graph.degree(members[lv]);
   for (std::size_t lv = 0; lv < n_local; ++lv) {
-    const std::int32_t v = sg.orig_nodes[lv];
+    const std::int32_t v = members[lv];
     const auto lv32 = static_cast<std::int32_t>(lv);
     const std::int64_t degree = graph.degree(v);
     later_degree -= degree;
@@ -187,7 +199,7 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
       reads += later_degree;
       scratch.probed.clear();
       for (std::size_t lu = lv + 1; lu < n_local; ++lu) {
-        const std::int32_t u = sg.orig_nodes[lu];
+        const std::int32_t u = members[lu];
         for (std::int64_t k = 0; k < graph.degree(u); ++k) {
           const auto [w, edge_id] = graph.neighbor(u, k);
           if (w == v) scratch.probed.emplace_back(edge_id, static_cast<std::int32_t>(lu));
@@ -200,12 +212,18 @@ Subgraph extract_enclosing_subgraph(const HeteroGraph& graph, std::int32_t m, st
   static Counter& adjacency_visited = metric_counter("sampling.adjacency_visited");
   adjacency_visited.add(reads);
 
+  // One exact-size copy per output vector; the scratch keeps its capacity.
+  sg.orig_nodes = members;
+  sg.node_type = scratch.member_type;
+  sg.edges = scratch.edges;
+  sg.edge_type = scratch.edge_type;
+
   // DSPD within the subgraph.
   const TraceSpan dspd_span("sampling.dspd");
   sg.dist0.resize(n_local);
-  sg.dist1.resize(n_local);
   local_bfs(local_adj, 0, sg.dist0, scratch.queue);
   if (link_task) {
+    sg.dist1.resize(n_local);
     local_bfs(local_adj, sg.second_anchor, sg.dist1, scratch.queue);
   } else {
     sg.dist1 = sg.dist0;  // paper §IV-D: D0 = D1 for node tasks

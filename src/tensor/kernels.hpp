@@ -517,6 +517,19 @@ inline void bn_fwd_out(const float* gv, const float* bv, const float* xhat, floa
   });
 }
 
+// bn_xhat then bn_fwd_out in one pass with no xhat store, for a BatchNorm
+// whose xhat no backward reads: each element takes the same four roundings,
+// (x - mean), * invstd, gamma *, + beta, so the output bits are theirs.
+inline void bn_fwd_one_pass(const float* xv, const float* mean, const float* invstd,
+                            const float* gv, const float* bv, float* ov, std::int64_t m,
+                            std::int64_t c) {
+  par::parallel_for(0, m, par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i)
+      for (std::int64_t j = 0; j < c; ++j)
+        ov[i * c + j] = gv[j] * ((xv[i * c + j] - mean[j]) * invstd[j]) + bv[j];
+  });
+}
+
 // dgamma / dbeta: column-parallel, i-ascending per column. Either target may
 // be null (not requiring grad); both sums are still formed, matching eager.
 inline void bn_bwd_params(const float* dy, const float* xhat, std::int64_t rows,

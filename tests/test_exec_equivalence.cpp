@@ -378,7 +378,13 @@ TEST(ExecTrainingEquivalence, FreezeBackboneRecompilesPlan) {
   const auto pe = eager_model.named_parameters();
   const auto pp = planned_model.named_parameters();
   for (std::size_t i = 0; i < pe.size(); ++i) {
-    if (!pp[i].second.requires_grad()) continue;  // frozen: eager may not even allocate grads
+    if (!pp[i].second.requires_grad()) {
+      // Frozen: eager may not even allocate grads; a stale unfrozen plan
+      // would write these.
+      for (const float g : pp[i].second.grad())
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(g), 0u) << "frozen-grad/" << pp[i].first;
+      continue;
+    }
     expect_bits_equal(pe[i].second.grad(), pp[i].second.grad(),
                       std::string("frozen-grad/") + pe[i].first);
   }
