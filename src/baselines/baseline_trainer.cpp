@@ -2,17 +2,14 @@
 
 #include "tensor/ops.hpp"
 #include "tensor/optim.hpp"
-#include "util/env.hpp"
-#include "util/json_writer.hpp"
+#include "train/trainer.hpp"
 #include "util/logging.hpp"
-#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 namespace cgps {
 
@@ -78,19 +75,6 @@ void subsample(Pairs& pairs, std::vector<float>& values, std::int64_t max_count,
   values.swap(new_values);
 }
 
-// Same JSONL epoch telemetry as train/trainer.cpp, tagged model="baseline"
-// so run logs from both trainers can share one file (DESIGN.md §8).
-std::unique_ptr<JsonlFile> open_run_log() {
-  const std::string path = env_run_log_path();
-  if (path.empty()) return nullptr;
-  auto log = std::make_unique<JsonlFile>(path, env_run_log_max_bytes());
-  if (!log->ok()) {
-    log_warn("CIRCUITGPS_RUN_LOG: cannot open ", path, "; epoch telemetry disabled");
-    return nullptr;
-  }
-  return log;
-}
-
 double run_baseline_training(FullGraphBaseline& model,
                              std::span<const CircuitDataset* const> train,
                              const XcNormalizer& normalizer,
@@ -109,8 +93,7 @@ double run_baseline_training(FullGraphBaseline& model,
                     });
 
   model.set_training(true);
-  const std::unique_ptr<JsonlFile> run_log = open_run_log();
-  const std::string run_id = trace::make_run_id();
+  const RunLog run_log;
   Stopwatch timer;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const TraceSpan epoch_span("baseline.epoch");
@@ -159,35 +142,14 @@ double run_baseline_training(FullGraphBaseline& model,
                " fwd=", t_fwd, " bwd=", t_bwd, " opt=", t_opt);
     }
     par::sample_pool_gauges();  // epoch-boundary pool gauges (DESIGN.md §8)
-    if (run_log != nullptr) {
-      JsonWriter w;
-      w.begin_object();
-      w.field("schema", "cgps-train-v1");
-      w.field("run_id", run_id);
-      w.field("model", "baseline");
-      w.field("task", target_mode_name(mode));
-      w.field("epoch", epoch);
-      w.field("epochs_total", options.epochs);
-      w.field("loss", steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0);
-      w.field("lr", static_cast<double>(optimizer.lr()));
-      w.field("batches", steps);
-      w.field("samples", total_pairs);
-      w.field("t_sample_s", t_sample);
-      w.field("t_batch_s", 0.0);  // full-graph baselines have no batch-assembly phase
-      w.field("t_fwd_s", t_fwd);
-      w.field("t_bwd_s", t_bwd);
-      w.field("t_opt_s", t_opt);
-      w.null_field("val_score");
-      w.field("threads", par::max_threads());
-      w.field("rss_mb", static_cast<double>(current_rss_bytes()) / (1024.0 * 1024.0));
-      w.field("elapsed_s", timer.seconds());
-      w.key("counters");
-      MetricsRegistry::instance().write_counters_json(w);
-      w.key("gauges");
-      MetricsRegistry::instance().write_gauges_json(w);
-      w.end_object();
-      run_log->write_line(w.str());
-    }
+    // Tagged model="baseline" so both trainers' records can share one file;
+    // full-graph baselines have no batch-assembly phase and no validation.
+    run_log.write({.model = "baseline", .task = target_mode_name(mode), .epoch = epoch,
+                   .epochs_total = options.epochs,
+                   .loss = steps > 0 ? loss_sum / static_cast<double>(steps) : 0.0,
+                   .lr = static_cast<double>(optimizer.lr()), .batches = steps,
+                   .samples = total_pairs, .t_sample_s = t_sample, .t_fwd_s = t_fwd,
+                   .t_bwd_s = t_bwd, .t_opt_s = t_opt, .elapsed_s = timer.seconds()});
   }
   model.set_training(false);
   return timer.seconds();

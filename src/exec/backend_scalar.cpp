@@ -78,7 +78,7 @@ class ScalarBackend final : public KernelBackend {
         for (std::int64_t j = 0; j < dh; ++j) sum += ui[j] * ui[j];
         const float half = sum * 0.5f;
         for (std::int64_t j = 0; j < fm; ++j) {
-          const float ev = std::exp(kern::sub_colvec1(proj[i * fm + j], half));
+          const float ev = std::exp(kern::sub1(proj[i * fm + j], half));
           e[i * fm + j] = ev;
           phi[i * fm + j] = ev * scale;
         }
@@ -153,7 +153,7 @@ class ScalarBackend final : public KernelBackend {
           accumulate_row(phi_q + i * fm, zg, denom + i, fm, 1);
           denom[i] += 1e-6f;
           for (std::int64_t j = 0; j < dh; ++j)
-            out[i * out_stride + j] = kern::div_colvec1(ni[j], denom[i]);
+            out[i * out_stride + j] = kern::div1(ni[j], denom[i]);
         }
       }
     });

@@ -1,6 +1,7 @@
 #include "exec/executor.hpp"
 
 #include "graph/hetero_graph.hpp"
+#include "tensor/kernels.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -26,8 +27,6 @@ Executor::Executor(Plan plan) : plan_(std::move(plan)) {
   grad_.assign(n, nullptr);
   aux_.assign(n, nullptr);
   fwd_scalar_.assign(n, 0.0f);
-  groups_storage_.resize(n);
-  groups_.assign(n, nullptr);
   inv_counts_.resize(n);
   mega_.resize(n);
   wpack_.assign(n, nullptr);
@@ -194,7 +193,7 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
   }
 
   const std::size_t n = plan_.prog.nodes.size();
-  // Pass 1: resolve rows, scalars, index groupings, and parameter pointers.
+  // Pass 1: resolve rows, scalars, segment weights, and parameter pointers.
   for (std::size_t id = 0; id < n; ++id) {
     NodeDef& d = plan_.prog.nodes[id];
     rows_[id] = resolve_rows(d.rows, d.fixed_rows);
@@ -205,33 +204,10 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
       fwd_scalar_[id] = d.inv_numel_node >= 0
                             ? 1.0f / static_cast<float>(numel(d.inv_numel_node))
                             : d.scalar;
-    groups_[id] = nullptr;
-    const bool is_indexed = d.op == Op::kGather || d.op == Op::kScatterAdd ||
-                            d.op == Op::kSegmentMean;
-    if (is_indexed) {
-      const std::int64_t count = resolve_rows(d.idx_rows, 0);
-      const std::int64_t work = count * d.cols;
-      std::int64_t group_over = 0;
-      bool needed = false;
-      if (d.op == Op::kGather) {
-        // Grouping is a backward-only concern for gathers.
-        group_over = rows_[static_cast<std::size_t>(d.inputs[0])];
-        needed = plan_.node_bwd_step[id] >= 0 && input_rg(static_cast<int>(id), 0);
-      } else {
-        group_over = rows_[id];
-        needed = true;
-      }
-      // At pool width 1 the kernels take their serial loop and never read
-      // the groups. A kernel run at a larger width than bind saw meets null
-      // groups and groups locally, with the same bits.
-      if (needed && work > kern::kScatterSerialCutoff && par::max_threads() > 1) {
-        groups_storage_[id] = kern::group_rows(index_array(d.src), count, group_over);
-        groups_[id] = &groups_storage_[id];
-      }
-      if (d.op == Op::kSegmentMean) {
-        inv_counts_[id].assign(static_cast<std::size_t>(rows_[id]), 0.0f);
-        kern::segment_inv_count(index_array(d.src), count, rows_[id], inv_counts_[id].data());
-      }
+    if (d.op == Op::kSegmentMean) {
+      inv_counts_[id].assign(static_cast<std::size_t>(rows_[id]), 0.0f);
+      kern::segment_inv_count(index_array(d.src), resolve_rows(d.idx_rows, 0), rows_[id],
+                              inv_counts_[id].data());
     }
     if (d.op == Op::kParam) {
       val_[id] = const_cast<float*>(d.param.data().data());
@@ -309,6 +285,9 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
   const int id = st.n0;
   const NodeDef& d = nodes[static_cast<std::size_t>(id)];
   float* out = val_[static_cast<std::size_t>(id)];
+  const auto in_val = [&](std::size_t slot) {
+    return val_[static_cast<std::size_t>(d.inputs[slot])];
+  };
   switch (st.op) {
     case Op::kZeros:
       std::fill(out, out + numel(id), 0.0f);
@@ -322,16 +301,14 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
     case Op::kScatterAdd: {
       const std::int64_t count = resolve_rows(d.idx_rows, 0);
       kern::scatter_add_fwd(val_[static_cast<std::size_t>(d.inputs[0])], index_array(d.src),
-                            count, d.cols, rows_[static_cast<std::size_t>(id)], out,
-                            groups_[static_cast<std::size_t>(id)]);
+                            count, d.cols, rows_[static_cast<std::size_t>(id)], out);
       break;
     }
     case Op::kSegmentMean: {
       const std::int64_t count = resolve_rows(d.idx_rows, 0);
       kern::segment_mean_fwd(val_[static_cast<std::size_t>(d.inputs[0])], index_array(d.src),
                              count, d.cols, rows_[static_cast<std::size_t>(id)],
-                             inv_counts_[static_cast<std::size_t>(id)].data(), out,
-                             groups_[static_cast<std::size_t>(id)]);
+                             inv_counts_[static_cast<std::size_t>(id)].data(), out);
       break;
     }
     case Op::kConcat: {
@@ -358,79 +335,40 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
                            rows_[static_cast<std::size_t>(id)], d.cols);
       break;
     case Op::kAdd:
+      kern::binary_fwd(in_val(0), in_val(1), out, numel(id), kern::add1);
+      break;
     case Op::kSub:
+      kern::binary_fwd(in_val(0), in_val(1), out, numel(id), kern::sub1);
+      break;
     case Op::kMul:
-    case Op::kDiv: {
-      const float* a = val_[static_cast<std::size_t>(d.inputs[0])];
-      const float* b = val_[static_cast<std::size_t>(d.inputs[1])];
-      const Op op = st.op;
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        switch (op) {
-          case Op::kAdd:
-            for (std::int64_t i = lo; i < hi; ++i) out[i] = kern::add1(a[i], b[i]);
-            break;
-          case Op::kSub:
-            for (std::int64_t i = lo; i < hi; ++i) out[i] = kern::sub1(a[i], b[i]);
-            break;
-          case Op::kMul:
-            for (std::int64_t i = lo; i < hi; ++i) out[i] = kern::mul1(a[i], b[i]);
-            break;
-          default:
-            for (std::int64_t i = lo; i < hi; ++i) out[i] = kern::div1(a[i], b[i]);
-            break;
-        }
-      });
+      kern::binary_fwd(in_val(0), in_val(1), out, numel(id), kern::mul1);
       break;
-    }
-    case Op::kMulColvec: {
-      // Eager ops::mul_colvec forward: row partition, serial j loop.
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
-      const float* col = val_[static_cast<std::size_t>(d.inputs[1])];
-      const std::int64_t c = d.cols;
-      par::parallel_for(0, rows_[static_cast<std::size_t>(id)], par::grain_for(c),
-                        [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i)
-          for (std::int64_t j = 0; j < c; ++j) out[i * c + j] = x[i * c + j] * col[i];
-      });
+    case Op::kDiv:
+      kern::binary_fwd(in_val(0), in_val(1), out, numel(id), kern::div1);
       break;
-    }
+    case Op::kMulColvec:
+      kern::colvec_fwd(in_val(0), in_val(1), out, rows_[static_cast<std::size_t>(id)], d.cols,
+                       kern::mul1);
+      break;
     case Op::kScale: {
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
       const float s = fwd_scalar_[static_cast<std::size_t>(id)];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[i] = x[i] * s;
-      });
+      kern::unary_fwd(in_val(0), out, numel(id), [s](float v) { return kern::mul1(v, s); });
       break;
     }
     case Op::kAddScalar: {
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
       const float s = d.scalar;
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[i] = x[i] + s;
-      });
+      kern::unary_fwd(in_val(0), out, numel(id), [s](float v) { return kern::add1(v, s); });
       break;
     }
-    case Op::kRelu: {
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[i] = kern::relu1(x[i]);
-      });
+    case Op::kRelu:
+      kern::unary_fwd(in_val(0), out, numel(id), kern::relu1);
       break;
-    }
-    case Op::kSigmoid: {
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[i] = kern::sigmoid1(x[i]);
-      });
+    case Op::kSigmoid:
+      kern::unary_fwd(in_val(0), out, numel(id), kern::sigmoid1);
       break;
-    }
-    case Op::kSquare: {
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) out[i] = x[i] * x[i];
-      });
+    case Op::kSquare:
+      kern::unary_fwd(in_val(0), out, numel(id), kern::square1);
       break;
-    }
     case Op::kDropout: {
       float* mask = aux_[static_cast<std::size_t>(id)];
       kern::dropout_mask(rng, d.p, mask, numel(id));
@@ -621,14 +559,19 @@ void Executor::exec_bwd_step(const Step& st) {
   const int id = st.n0;
   const NodeDef& d = nodes[static_cast<std::size_t>(id)];
   const float* dy = grad_[static_cast<std::size_t>(id)];
+  const auto in_val = [&](std::size_t slot) {
+    return val_[static_cast<std::size_t>(d.inputs[slot])];
+  };
+  const auto in_grad = [&](std::size_t slot) {
+    return input_rg(id, slot) ? grad_[static_cast<std::size_t>(d.inputs[slot])] : nullptr;
+  };
   switch (st.op) {
     case Op::kGather: {
       if (!input_rg(id, 0)) break;
       const std::int64_t count = resolve_rows(d.idx_rows, 0);
       kern::gather_bwd(dy, index_array(d.src), count, d.cols,
                        rows_[static_cast<std::size_t>(d.inputs[0])],
-                       grad_[static_cast<std::size_t>(d.inputs[0])],
-                       groups_[static_cast<std::size_t>(id)]);
+                       grad_[static_cast<std::size_t>(d.inputs[0])]);
       break;
     }
     case Op::kScatterAdd: {
@@ -679,102 +622,69 @@ void Executor::exec_bwd_step(const Step& st) {
       break;
     }
     case Op::kAdd:
-    case Op::kSub: {
-      float* ga = input_rg(id, 0) ? grad_[static_cast<std::size_t>(d.inputs[0])] : nullptr;
-      float* gb = input_rg(id, 1) ? grad_[static_cast<std::size_t>(d.inputs[1])] : nullptr;
-      const bool sub = st.op == Op::kSub;
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          if (ga != nullptr) ga[i] += dy[i];
-          if (gb != nullptr) gb[i] += sub ? -dy[i] : dy[i];
-        }
-      });
+      kern::binary_bwd(in_grad(0), in_grad(1), numel(id),
+                       [dy](std::int64_t i, float& da, float& db) {
+                         kern::add1_bwd(dy[i], da, db);
+                       });
+      break;
+    case Op::kSub:
+      kern::binary_bwd(in_grad(0), in_grad(1), numel(id),
+                       [dy](std::int64_t i, float& da, float& db) {
+                         kern::sub1_bwd(dy[i], da, db);
+                       });
+      break;
+    case Op::kMul: {
+      const float* a = in_val(0);
+      const float* b = in_val(1);
+      kern::binary_bwd(in_grad(0), in_grad(1), numel(id),
+                       [=](std::int64_t i, float& da, float& db) {
+                         kern::mul1_bwd(a[i], b[i], dy[i], da, db);
+                       });
       break;
     }
-    case Op::kMul:
     case Op::kDiv: {
-      const float* a = val_[static_cast<std::size_t>(d.inputs[0])];
-      const float* b = val_[static_cast<std::size_t>(d.inputs[1])];
-      float* ga = input_rg(id, 0) ? grad_[static_cast<std::size_t>(d.inputs[0])] : nullptr;
-      float* gb = input_rg(id, 1) ? grad_[static_cast<std::size_t>(d.inputs[1])] : nullptr;
-      const bool mul = st.op == Op::kMul;
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          float da = 0.0f;
-          float db = 0.0f;
-          if (mul)
-            kern::mul1_bwd(a[i], b[i], dy[i], da, db);
-          else
-            kern::div1_bwd(a[i], b[i], dy[i], da, db);
-          if (ga != nullptr) ga[i] += da;
-          if (gb != nullptr) gb[i] += db;
-        }
-      });
+      const float* a = in_val(0);
+      const float* b = in_val(1);
+      kern::binary_bwd(in_grad(0), in_grad(1), numel(id),
+                       [=](std::int64_t i, float& da, float& db) {
+                         kern::div1_bwd(a[i], b[i], dy[i], da, db);
+                       });
       break;
     }
     case Op::kMulColvec: {
-      // Eager mul_colvec closure: both grads are row-indexed, one row
-      // partition covers them; dx = dy * col[i], dcol += dy * x.
-      const float* a = val_[static_cast<std::size_t>(d.inputs[0])];
-      const float* col = val_[static_cast<std::size_t>(d.inputs[1])];
-      float* ga = input_rg(id, 0) ? grad_[static_cast<std::size_t>(d.inputs[0])] : nullptr;
-      float* gcol = input_rg(id, 1) ? grad_[static_cast<std::size_t>(d.inputs[1])] : nullptr;
-      const std::int64_t c = d.cols;
-      par::parallel_for(0, rows_[static_cast<std::size_t>(id)], par::grain_for(c),
-                        [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float cv = col[i];
-          for (std::int64_t j = 0; j < c; ++j) {
-            const float g = dy[i * c + j];
-            if (ga != nullptr) ga[i * c + j] += g * cv;
-            if (gcol != nullptr) gcol[i] += g * a[i * c + j];
-          }
-        }
-      });
+      const float* x = in_val(0);
+      const float* col = in_val(1);
+      kern::colvec_bwd(in_grad(0), in_grad(1), rows_[static_cast<std::size_t>(id)], d.cols,
+                       [=](std::int64_t i, std::int64_t k, float& dx, float& dcol) {
+                         kern::mul1_bwd(x[k], col[i], dy[k], dx, dcol);
+                       });
       break;
     }
     case Op::kScale: {
-      if (!input_rg(id, 0)) break;
-      float* gx = grad_[static_cast<std::size_t>(d.inputs[0])];
       const float s = fwd_scalar_[static_cast<std::size_t>(id)];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) gx[i] += dy[i] * s;
-      });
+      kern::unary_bwd(in_grad(0), numel(id),
+                      [=](std::int64_t i) { return kern::mul1(dy[i], s); });
       break;
     }
-    case Op::kAddScalar: {
-      if (!input_rg(id, 0)) break;
-      float* gx = grad_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) gx[i] += dy[i];
-      });
+    case Op::kAddScalar:
+      kern::unary_bwd(in_grad(0), numel(id), [dy](std::int64_t i) { return dy[i]; });
       break;
-    }
     case Op::kRelu: {
-      if (!input_rg(id, 0)) break;
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
-      float* gx = grad_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) gx[i] += x[i] > 0.0f ? dy[i] : 0.0f;
-      });
+      const float* x = in_val(0);
+      kern::unary_bwd(in_grad(0), numel(id),
+                      [=](std::int64_t i) { return kern::relu1_bwd(x[i], dy[i]); });
       break;
     }
     case Op::kSigmoid: {
-      if (!input_rg(id, 0)) break;
       const float* y = val_[static_cast<std::size_t>(id)];
-      float* gx = grad_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) gx[i] += dy[i] * y[i] * (1.0f - y[i]);
-      });
+      kern::unary_bwd(in_grad(0), numel(id),
+                      [=](std::int64_t i) { return kern::sigmoid1_bwd(y[i], dy[i]); });
       break;
     }
     case Op::kSquare: {
-      if (!input_rg(id, 0)) break;
-      const float* x = val_[static_cast<std::size_t>(d.inputs[0])];
-      float* gx = grad_[static_cast<std::size_t>(d.inputs[0])];
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) gx[i] += dy[i] * 2.0f * x[i];
-      });
+      const float* x = in_val(0);
+      kern::unary_bwd(in_grad(0), numel(id),
+                      [=](std::int64_t i) { return kern::square1_bwd(x[i], dy[i]); });
       break;
     }
     case Op::kDropout:
@@ -1071,7 +981,7 @@ void Executor::bwd_performer(int id) {
           for (std::int64_t j = 0; j < dh; ++j) {
             float da = 0.0f;
             float dc = 0.0f;
-            kern::div_colvec1_bwd(numer[i * dh + j], cv, dblock[i * dh + j], da, dc);
+            kern::div1_bwd(numer[i * dh + j], cv, dblock[i * dh + j], da, dc);
             dnumer[i * dh + j] += da;
             ddenom[i] += dc;
           }

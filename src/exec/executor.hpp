@@ -1,5 +1,5 @@
 // Plan executor: binds a compiled Plan to one SubgraphBatch (resolving
-// symbolic shapes, carving the arena, precomputing index groupings) and then
+// symbolic shapes, carving the arena, precomputing segment weights) and then
 // runs the forward/backward schedules with zero allocation on the hot path
 // (DESIGN.md §10).
 //
@@ -15,7 +15,6 @@
 #include "exec/backend.hpp"
 #include "exec/plan.hpp"
 #include "gps/batch.hpp"
-#include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
 #include <cstdint>
@@ -115,8 +114,6 @@ class Executor {
   std::vector<float*> grad_;
   std::vector<float*> aux_;
   std::vector<float> fwd_scalar_;  // kScale factor with inv_numel resolved
-  std::vector<kern::RowGroups> groups_storage_;
-  std::vector<const kern::RowGroups*> groups_;
   std::vector<std::vector<float>> inv_counts_;  // kSegmentMean per-node
   std::vector<MegaLayout> mega_;
   std::vector<float*> wpack_;  // mega node: packed q/k/v weights (forward step only)

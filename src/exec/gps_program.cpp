@@ -370,14 +370,13 @@ struct Builder {
   }
 
   // CircuitGps::head_statistics — all three type groups emitted
-  // unconditionally; an empty group's gather/linear/scatter are 0-row
-  // no-ops and its add contributes exact zeros.
+  // unconditionally, starting from the net group's scatter; an empty
+  // group's gather/linear/scatter are 0-row no-ops, its scatter writes
+  // +0.0 and adding it leaves the other operand's bits.
   int head_statistics() {
-    const GpsConfig& cfg = model_.config();
     const int xc = input(SrcKind::kXc, RowsSym::kN, kXcDim);
-    int c = zeros(RowsSym::kN, cfg.hidden);
     const int net = linear("head_net", gather(xc, SrcKind::kNetRows, RowsSym::kNet));
-    c = binary(Op::kAdd, c, scatter_add(net, SrcKind::kNetRows, RowsSym::kNet, RowsSym::kN));
+    int c = scatter_add(net, SrcKind::kNetRows, RowsSym::kNet, RowsSym::kN);
     const int dev = linear("head_device", gather(xc, SrcKind::kDeviceRows, RowsSym::kDevice));
     c = binary(Op::kAdd, c,
                scatter_add(dev, SrcKind::kDeviceRows, RowsSym::kDevice, RowsSym::kN));

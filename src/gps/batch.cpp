@@ -10,36 +10,26 @@
 
 namespace cgps {
 
-void XcNormalizer::fit(const std::vector<std::array<float, kXcDim>>& rows) {
-  for (const auto& row : rows) {
-    if (!fitted_) {
-      min_ = row;
-      max_ = row;
-      fitted_ = true;
-      continue;
-    }
-    for (std::size_t j = 0; j < kXcDim; ++j) {
-      min_[j] = std::min(min_[j], row[j]);
-      max_[j] = std::max(max_[j], row[j]);
-    }
+void XcNormalizer::fold(const std::array<float, kXcDim>& row) {
+  if (!fitted_) {
+    min_ = row;
+    max_ = row;
+    fitted_ = true;
+    return;
   }
+  for (std::size_t j = 0; j < kXcDim; ++j) {
+    min_[j] = std::min(min_[j], row[j]);
+    max_[j] = std::max(max_[j], row[j]);
+  }
+}
+
+void XcNormalizer::fit(const std::vector<std::array<float, kXcDim>>& rows) {
+  for (const auto& row : rows) fold(row);
 }
 
 void XcNormalizer::fit_rows(const std::vector<std::array<float, kXcDim>>& all,
                             const std::vector<std::int32_t>& nodes) {
-  for (std::int32_t v : nodes) {
-    const auto& row = all[static_cast<std::size_t>(v)];
-    if (!fitted_) {
-      min_ = row;
-      max_ = row;
-      fitted_ = true;
-      continue;
-    }
-    for (std::size_t j = 0; j < kXcDim; ++j) {
-      min_[j] = std::min(min_[j], row[j]);
-      max_[j] = std::max(max_[j], row[j]);
-    }
-  }
+  for (std::int32_t v : nodes) fold(all[static_cast<std::size_t>(v)]);
 }
 
 void XcNormalizer::restore(const std::array<float, kXcDim>& min,

@@ -34,6 +34,8 @@ class XcNormalizer {
   const std::array<float, kXcDim>& max() const { return max_; }
 
  private:
+  void fold(const std::array<float, kXcDim>& row);
+
   std::array<float, kXcDim> min_{};
   std::array<float, kXcDim> max_{};
   bool fitted_ = false;

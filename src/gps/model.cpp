@@ -218,20 +218,19 @@ Tensor CircuitGps::head_statistics(const SubgraphBatch& batch) {
         break;
     }
   }
-  Tensor c = Tensor::zeros(n, config_.hidden);
-  if (!net_rows.empty()) {
-    Tensor rows = head_net_.forward(ops::gather_rows(batch.xc, net_rows));
-    c = ops::add(c, ops::scatter_add_rows(rows, net_rows, n));
-  }
-  if (!device_rows.empty()) {
-    Tensor rows = head_device_.forward(ops::gather_rows(batch.xc, device_rows));
-    c = ops::add(c, ops::scatter_add_rows(rows, device_rows, n));
-  }
-  if (!pin_rows.empty()) {
-    Tensor rows = head_pin_.forward(pin_roles);
-    c = ops::add(c, ops::scatter_add_rows(rows, pin_rows, n));
-  }
-  return c;
+  // c starts from the first group's scatter, which starts at +0.0: adding it
+  // onto zeros could only turn -0.0 into +0.0, and a scatter holds no -0.0.
+  Tensor c;
+  const auto add_group = [&](const Tensor& rows, const std::vector<std::int32_t>& at) {
+    Tensor scattered = ops::scatter_add_rows(rows, at, n);
+    c = c.defined() ? ops::add(c, scattered) : scattered;
+  };
+  if (!net_rows.empty())
+    add_group(head_net_.forward(ops::gather_rows(batch.xc, net_rows)), net_rows);
+  if (!device_rows.empty())
+    add_group(head_device_.forward(ops::gather_rows(batch.xc, device_rows)), device_rows);
+  if (!pin_rows.empty()) add_group(head_pin_.forward(pin_roles), pin_rows);
+  return c.defined() ? c : Tensor::zeros(n, config_.hidden);
 }
 
 Tensor CircuitGps::forward(const SubgraphBatch& batch) {

@@ -4,50 +4,7 @@
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
-#include <memory>
-#include <mutex>
-#include <string>
-
 namespace cgps::serve {
-
-namespace {
-
-// Record sink guarded by one mutex, mirroring the trace sink: reopened
-// whenever CIRCUITGPS_SERVE_ACCESS_LOG changes between calls (tests retarget
-// it), dropped when it is unset. A path that fails to open is remembered so
-// the warning fires once per path.
-struct Sink {
-  std::mutex mu;
-  std::string path;  // path the current file (or failure) corresponds to
-  std::unique_ptr<JsonlFile> file;
-};
-
-Sink& sink_state() {
-  static Sink* s = new Sink();  // never destroyed (requests drain at exit)
-  return *s;
-}
-
-JsonlFile* sink() {
-  const std::string path = env_serve_access_log_path();
-  Sink& s = sink_state();
-  if (path.empty()) {
-    s.file.reset();
-    s.path.clear();
-    return nullptr;
-  }
-  if (s.path != path) {
-    s.path = path;
-    s.file = std::make_unique<JsonlFile>(s.path, env_run_log_max_bytes());
-    if (!s.file->ok()) {
-      log_warn("CIRCUITGPS_SERVE_ACCESS_LOG: cannot open ", s.path,
-               "; access logging disabled");
-      s.file.reset();
-    }
-  }
-  return s.file.get();
-}
-
-}  // namespace
 
 bool access_log_enabled() { return !env_serve_access_log_path().empty(); }
 
@@ -61,10 +18,9 @@ void log_access(const AccessRecord& record) {
              record.batch_size);
   }
   if (!access_log_enabled()) return;
-  Sink& s = sink_state();
-  const std::scoped_lock lock(s.mu);
-  JsonlFile* file = sink();
-  if (file == nullptr) return;
+  static EnvJsonlSink& sink = EnvJsonlSink::process_lifetime(
+      {"CIRCUITGPS_SERVE_ACCESS_LOG", env_serve_access_log_path, "access logging",
+       env_run_log_max_bytes});
   JsonWriter w;
   w.begin_object();
   w.field("schema", "cgps-serve-access-v1");
@@ -80,7 +36,7 @@ void log_access(const AccessRecord& record) {
   w.field("batch", record.batch_id);
   w.field("batch_size", record.batch_size);
   w.end_object();
-  file->write_line(w.str());
+  sink.write_line(w.str());
 }
 
 }  // namespace cgps::serve

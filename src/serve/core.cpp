@@ -218,16 +218,22 @@ Response ServeCore::predict(const Request& request) {
   return out;
 }
 
+// Take up to max_batch requests off the front of the queue.
+std::vector<ServeCore::Pending> ServeCore::take_batch() {
+  const std::size_t k = std::min(queue_.size(), static_cast<std::size_t>(options_.max_batch));
+  std::vector<Pending> taken(
+      std::make_move_iterator(queue_.begin()),
+      std::make_move_iterator(queue_.begin() + static_cast<std::ptrdiff_t>(k)));
+  queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(k));
+  metric_gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
+  return taken;
+}
+
 int ServeCore::run_cycle() {
   std::vector<Pending> taken;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t k =
-        std::min(queue_.size(), static_cast<std::size_t>(options_.max_batch));
-    taken.assign(std::make_move_iterator(queue_.begin()),
-                 std::make_move_iterator(queue_.begin() + static_cast<std::ptrdiff_t>(k)));
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(k));
-    metric_gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
+    taken = take_batch();
   }
   return serve_some(taken);
 }
@@ -239,12 +245,7 @@ void ServeCore::loop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) break;  // stopping_ && drained
-      const std::size_t k =
-          std::min(queue_.size(), static_cast<std::size_t>(options_.max_batch));
-      taken.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.begin() + static_cast<std::ptrdiff_t>(k)));
-      queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(k));
-      metric_gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
+      taken = take_batch();
     }
     serve_some(taken);
   }

@@ -131,6 +131,7 @@ class ServeCore {
   };
 
   void loop();
+  std::vector<Pending> take_batch();  // caller holds mu_
   int serve_some(std::vector<Pending>& taken);
   void process_group(std::vector<Pending*>& group);
   void reply(Pending& p, Status status, float value, double cap_farads);

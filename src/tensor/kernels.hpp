@@ -25,47 +25,115 @@ namespace cgps::kern {
 
 // ------------------------------------------------------------ scalar math --
 
+// Per-element forward/backward functions of the elementwise ops. The eager
+// ops in ops.cpp and the planned elementwise steps both pass these to the
+// loops under "elementwise" below, so the per-element arithmetic cannot
+// diverge. They are function objects, not functions, so a loop that takes
+// one as an argument inlines it. A backward takes only what it reads.
+
 // Numerically stable logistic, the exact expression of ops::sigmoid and the
 // BCE backward.
-inline float sigmoid1(float v) {
+inline constexpr auto sigmoid1 = [](float v) {
   return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v)) : std::exp(v) / (1.0f + std::exp(v));
-}
+};
+inline constexpr auto sigmoid1_bwd = [](float y, float dy) { return dy * y * (1.0f - y); };
 
-inline float relu1(float v) { return v > 0.0f ? v : 0.0f; }
+inline constexpr auto relu1 = [](float v) { return v > 0.0f ? v : 0.0f; };
+inline constexpr auto relu1_bwd = [](float x, float dy) { return x > 0.0f ? dy : 0.0f; };
 
-// Elementwise forward/backward factor pairs. The eager lambdas in ops.cpp
-// and the planned elementwise steps both call these, so the per-element
-// arithmetic cannot diverge.
-inline float add1(float x, float y) { return x + y; }
-inline void add1_bwd(float, float, float dy, float& da, float& db) {
+inline constexpr auto square1 = [](float v) { return v * v; };
+inline constexpr auto square1_bwd = [](float x, float dy) { return dy * 2.0f * x; };
+
+inline constexpr auto add1 = [](float x, float y) { return x + y; };
+inline constexpr auto add1_bwd = [](float dy, float& da, float& db) {
   da = dy;
   db = dy;
-}
-inline float sub1(float x, float y) { return x - y; }
-inline void sub1_bwd(float, float, float dy, float& da, float& db) {
+};
+inline constexpr auto sub1 = [](float x, float y) { return x - y; };
+inline constexpr auto sub1_bwd = [](float dy, float& da, float& db) {
   da = dy;
   db = -dy;
-}
-inline float mul1(float x, float y) { return x * y; }
-inline void mul1_bwd(float x, float y, float dy, float& da, float& db) {
+};
+inline constexpr auto mul1 = [](float x, float y) { return x * y; };
+inline constexpr auto mul1_bwd = [](float x, float y, float dy, float& da, float& db) {
   da = dy * y;
   db = dy * x;
-}
-inline float div1(float x, float y) { return x / y; }
-inline void div1_bwd(float x, float y, float dy, float& da, float& db) {
+};
+inline constexpr auto div1 = [](float x, float y) { return x / y; };
+inline constexpr auto div1_bwd = [](float x, float y, float dy, float& da, float& db) {
   da = dy / y;
   db = -dy * x / (y * y);
+};
+
+// ------------------------------------------------------------ elementwise --
+
+// The loops of the elementwise ops, each run by the eager op and by the
+// planned step alike. A forward maps the operands through a per-element
+// function. A backward adds into each input grad that is non-null; it takes
+// an element function over the index, bound to just the buffers its op's
+// backward reads, because the plan keeps no other value of that op live
+// (exec/plan.cpp, bwd_value_reads). The flat loops split the index range,
+// the colvec loops split rows, which own both grads.
+
+template <typename F>
+inline void unary_fwd(const float* x, float* out, std::int64_t count, F f) {
+  par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) out[i] = f(x[i]);
+  });
 }
 
-inline float sub_colvec1(float a, float b) { return a - b; }
-inline void sub_colvec1_bwd(float, float, float dy, float& dx, float& dc) {
-  dx = dy;
-  dc = -dy;
+// gx[i] += dx(i).
+template <typename Dx>
+inline void unary_bwd(float* gx, std::int64_t count, Dx dx) {
+  if (gx == nullptr) return;
+  par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) gx[i] += dx(i);
+  });
 }
-inline float div_colvec1(float a, float b) { return a / b; }
-inline void div_colvec1_bwd(float a, float b, float dy, float& dx, float& dc) {
-  dx = dy / b;
-  dc = -dy * a / (b * b);
+
+template <typename F>
+inline void binary_fwd(const float* a, const float* b, float* out, std::int64_t count, F f) {
+  par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
+  });
+}
+
+// d(i, da, db) sets element i's two grads.
+template <typename D>
+inline void binary_bwd(float* ga, float* gb, std::int64_t count, D d) {
+  par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      float da = 0.0f, db = 0.0f;
+      d(i, da, db);
+      if (ga != nullptr) ga[i] += da;
+      if (gb != nullptr) gb[i] += db;
+    }
+  });
+}
+
+// out[i, j] = f(x[i, j], col[i]) over m rows of c.
+template <typename F>
+inline void colvec_fwd(const float* x, const float* col, float* out, std::int64_t m,
+                       std::int64_t c, F f) {
+  par::parallel_for(0, m, par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i)
+      for (std::int64_t j = 0; j < c; ++j) out[i * c + j] = f(x[i * c + j], col[i]);
+  });
+}
+
+// d(i, k, dx, dc) sets the grads of element k = i * c + j; gcol[i] sums its
+// row's dc in ascending j.
+template <typename D>
+inline void colvec_bwd(float* gx, float* gcol, std::int64_t m, std::int64_t c, D d) {
+  par::parallel_for(0, m, par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i)
+      for (std::int64_t k = i * c; k < (i + 1) * c; ++k) {
+        float dx = 0.0f, dc = 0.0f;
+        d(i, k, dx, dc);
+        if (gx != nullptr) gx[k] += dx;
+        if (gcol != nullptr) gcol[i] += dc;
+      }
+  });
 }
 
 // -------------------------------------------------------------- row groups --
@@ -245,13 +313,11 @@ inline void gather_fwd(const float* xv, const std::int32_t* idx, std::int64_t co
   });
 }
 
-// dX[idx[i], :] += dY[i, :]. Serial below the cutoff; otherwise grouped by
-// target row so each thread owns disjoint grad rows with sources ascending
-// (bit-identical to serial). `groups` may be precomputed (planned executor)
-// or null (computed here, the eager path).
+// dX[idx[i], :] += dY[i, :]. Serial below the cutoff or at pool width 1;
+// otherwise grouped by target row here, so each thread owns disjoint grad
+// rows with sources ascending (bit-identical to serial).
 inline void gather_bwd(const float* dy, const std::int32_t* idx, std::int64_t count,
-                       std::int64_t c, std::int64_t x_rows, float* dx,
-                       const RowGroups* groups = nullptr) {
+                       std::int64_t c, std::int64_t x_rows, float* dx) {
   if (count * c <= kScatterSerialCutoff || par::max_threads() == 1) {
     for (std::int64_t i = 0; i < count; ++i) {
       float* g = dx + static_cast<std::int64_t>(idx[i]) * c;
@@ -260,26 +326,22 @@ inline void gather_bwd(const float* dy, const std::int32_t* idx, std::int64_t co
     }
     return;
   }
-  RowGroups local;
-  if (groups == nullptr) {
-    local = group_rows(idx, count, x_rows);
-    groups = &local;
-  }
+  const RowGroups groups = group_rows(idx, count, x_rows);
   par::parallel_for(0, x_rows, par::grain_for(c), [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       float* g = dx + r * c;
-      for (std::int64_t s = groups->ptr[r]; s < groups->ptr[r + 1]; ++s) {
-        const float* d = dy + static_cast<std::int64_t>(groups->pos[s]) * c;
+      for (std::int64_t s = groups.ptr[r]; s < groups.ptr[r + 1]; ++s) {
+        const float* d = dy + static_cast<std::int64_t>(groups.pos[s]) * c;
         for (std::int64_t j = 0; j < c; ++j) g[j] += d[j];
       }
     }
   });
 }
 
-// out[idx[i], :] += x[i, :] into a zeroed output (zeroing done here).
+// out[idx[i], :] += x[i, :] into a zeroed output (zeroing done here), grouped
+// like gather_bwd.
 inline void scatter_add_fwd(const float* xv, const std::int32_t* idx, std::int64_t count,
-                            std::int64_t c, std::int64_t out_rows, float* ov,
-                            const RowGroups* groups = nullptr) {
+                            std::int64_t c, std::int64_t out_rows, float* ov) {
   std::fill(ov, ov + out_rows * c, 0.0f);
   if (count * c <= kScatterSerialCutoff || par::max_threads() == 1) {
     for (std::int64_t i = 0; i < count; ++i) {
@@ -289,16 +351,12 @@ inline void scatter_add_fwd(const float* xv, const std::int32_t* idx, std::int64
     }
     return;
   }
-  RowGroups local;
-  if (groups == nullptr) {
-    local = group_rows(idx, count, out_rows);
-    groups = &local;
-  }
+  const RowGroups groups = group_rows(idx, count, out_rows);
   par::parallel_for(0, out_rows, par::grain_for(c), [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       float* dst = ov + r * c;
-      for (std::int64_t s = groups->ptr[r]; s < groups->ptr[r + 1]; ++s) {
-        const float* src = xv + static_cast<std::int64_t>(groups->pos[s]) * c;
+      for (std::int64_t s = groups.ptr[r]; s < groups.ptr[r + 1]; ++s) {
+        const float* src = xv + static_cast<std::int64_t>(groups.pos[s]) * c;
         for (std::int64_t j = 0; j < c; ++j) dst[j] += src[j];
       }
     }
@@ -327,10 +385,11 @@ inline void segment_inv_count(const std::int32_t* seg, std::int64_t count, std::
     inv_count[s] = inv_count[s] > 0.0f ? 1.0f / inv_count[s] : 0.0f;
 }
 
-// out[seg[i], :] += inv_count[seg[i]] * x[i, :] into a zeroed output.
+// out[seg[i], :] += inv_count[seg[i]] * x[i, :] into a zeroed output, grouped
+// like gather_bwd.
 inline void segment_mean_fwd(const float* xv, const std::int32_t* seg, std::int64_t count,
                              std::int64_t c, std::int64_t n_segments, const float* inv_count,
-                             float* ov, const RowGroups* groups = nullptr) {
+                             float* ov) {
   std::fill(ov, ov + n_segments * c, 0.0f);
   if (count * c <= kScatterSerialCutoff || par::max_threads() == 1) {
     for (std::int64_t i = 0; i < count; ++i) {
@@ -341,17 +400,13 @@ inline void segment_mean_fwd(const float* xv, const std::int32_t* seg, std::int6
     }
     return;
   }
-  RowGroups local;
-  if (groups == nullptr) {
-    local = group_rows(seg, count, n_segments);
-    groups = &local;
-  }
+  const RowGroups groups = group_rows(seg, count, n_segments);
   par::parallel_for(0, n_segments, par::grain_for(c), [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const float w = inv_count[r];
       float* dst = ov + r * c;
-      for (std::int64_t s = groups->ptr[r]; s < groups->ptr[r + 1]; ++s) {
-        const float* src = xv + static_cast<std::int64_t>(groups->pos[s]) * c;
+      for (std::int64_t s = groups.ptr[r]; s < groups.ptr[r + 1]; ++s) {
+        const float* src = xv + static_cast<std::int64_t>(groups.pos[s]) * c;
         for (std::int64_t j = 0; j < c; ++j) dst[j] += w * src[j];
       }
     }

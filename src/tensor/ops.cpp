@@ -39,7 +39,10 @@ void check_same_shape(const char* op, const Tensor& a, const Tensor& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) shape_error(op, a, b);
 }
 
-// Generic elementwise binary op with per-element backward factors.
+float* grad_if_required(Node& p) { return p.requires_grad ? p.grad.data() : nullptr; }
+
+// Elementwise binary op over kern::binary_fwd/binary_bwd; bwd(x, y, dy, da,
+// db) sets one element's two grads.
 template <typename Fwd, typename Bwd>
 Tensor elementwise_binary(const char* name, const Tensor& a, const Tensor& b, Fwd fwd,
                           Bwd bwd) {
@@ -47,46 +50,34 @@ Tensor elementwise_binary(const char* name, const Tensor& a, const Tensor& b, Fw
   const bool track = grad_enabled_for({&a, &b});
   Tensor out = Tensor::make(
       a.rows(), a.cols(), track, {a.ptr(), b.ptr()}, [pa = a.ptr(), pb = b.ptr(), bwd](Node& n) {
-        const auto count = static_cast<std::int64_t>(n.value.size());
-        par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            float da = 0.0f;
-            float db = 0.0f;
-            bwd(pa->value[i], pb->value[i], n.value[i], n.grad[i], da, db);
-            if (pa->requires_grad) pa->grad[i] += da;
-            if (pb->requires_grad) pb->grad[i] += db;
-          }
-        });
+        const float* av = pa->value.data();
+        const float* bv = pb->value.data();
+        const float* dy = n.grad.data();
+        kern::binary_bwd(grad_if_required(*pa), grad_if_required(*pb),
+                         static_cast<std::int64_t>(n.value.size()),
+                         [&](std::int64_t i, float& da, float& db) {
+                           bwd(av[i], bv[i], dy[i], da, db);
+                         });
       });
-  const auto count = static_cast<std::int64_t>(out.data().size());
-  const float* av = a.data().data();
-  const float* bv = b.data().data();
-  float* ov = out.data().data();
-  par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) ov[i] = fwd(av[i], bv[i]);
-  });
+  kern::binary_fwd(a.data().data(), b.data().data(), out.data().data(),
+                   static_cast<std::int64_t>(out.data().size()), fwd);
   return out;
 }
 
-// Generic elementwise unary op; backward receives (x, y, dy) -> dx.
+// Elementwise unary op over kern::unary_fwd/unary_bwd; bwd(x, y, dy) -> dx.
 template <typename Fwd, typename Bwd>
 Tensor elementwise_unary(const Tensor& x, Fwd fwd, Bwd bwd) {
   const bool track = grad_enabled_for({&x});
   Tensor out =
       Tensor::make(x.rows(), x.cols(), track, {x.ptr()}, [px = x.ptr(), bwd](Node& n) {
-        if (!px->requires_grad) return;
-        const auto count = static_cast<std::int64_t>(n.value.size());
-        par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i)
-            px->grad[i] += bwd(px->value[i], n.value[i], n.grad[i]);
-        });
+        const float* xv = px->value.data();
+        const float* yv = n.value.data();
+        const float* dy = n.grad.data();
+        kern::unary_bwd(grad_if_required(*px), static_cast<std::int64_t>(n.value.size()),
+                        [&](std::int64_t i) { return bwd(xv[i], yv[i], dy[i]); });
       });
-  const auto count = static_cast<std::int64_t>(out.data().size());
-  const float* xv = x.data().data();
-  float* ov = out.data().data();
-  par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) ov[i] = fwd(xv[i]);
-  });
+  kern::unary_fwd(x.data().data(), out.data().data(),
+                  static_cast<std::int64_t>(out.data().size()), fwd);
   return out;
 }
 
@@ -104,34 +95,22 @@ void check_rowvec(const char* op, const Tensor& x, const Tensor& row) {
 
 Tensor add(const Tensor& a, const Tensor& b) {
   return elementwise_binary(
-      "add", a, b, [](float x, float y) { return kern::add1(x, y); },
-      [](float x, float y, float, float dy, float& da, float& db) {
-        kern::add1_bwd(x, y, dy, da, db);
-      });
+      "add", a, b, kern::add1,
+      [](float, float, float dy, float& da, float& db) { kern::add1_bwd(dy, da, db); });
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
   return elementwise_binary(
-      "sub", a, b, [](float x, float y) { return kern::sub1(x, y); },
-      [](float x, float y, float, float dy, float& da, float& db) {
-        kern::sub1_bwd(x, y, dy, da, db);
-      });
+      "sub", a, b, kern::sub1,
+      [](float, float, float dy, float& da, float& db) { kern::sub1_bwd(dy, da, db); });
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  return elementwise_binary(
-      "mul", a, b, [](float x, float y) { return kern::mul1(x, y); },
-      [](float x, float y, float, float dy, float& da, float& db) {
-        kern::mul1_bwd(x, y, dy, da, db);
-      });
+  return elementwise_binary("mul", a, b, kern::mul1, kern::mul1_bwd);
 }
 
 Tensor div(const Tensor& a, const Tensor& b) {
-  return elementwise_binary(
-      "div", a, b, [](float x, float y) { return kern::div1(x, y); },
-      [](float x, float y, float, float dy, float& da, float& db) {
-        kern::div1_bwd(x, y, dy, da, db);
-      });
+  return elementwise_binary("div", a, b, kern::div1, kern::div1_bwd);
 }
 
 // ------------------------------------------------------------- broadcast --
@@ -186,6 +165,8 @@ Tensor mul_rowvec(const Tensor& x, const Tensor& row) {
 
 namespace {
 
+// Row-times-column broadcast over kern::colvec_fwd/colvec_bwd; bwd(x, col,
+// dy, dx, dc) sets one element's two grads.
 template <typename Fwd, typename Bwd>
 Tensor colvec_broadcast(const char* name, const Tensor& x, const Tensor& col, Fwd fwd,
                         Bwd bwd) {
@@ -194,31 +175,16 @@ Tensor colvec_broadcast(const char* name, const Tensor& x, const Tensor& col, Fw
   Tensor out = Tensor::make(
       x.rows(), x.cols(), track, {x.ptr(), col.ptr()},
       [px = x.ptr(), pc = col.ptr(), bwd](Node& n) {
-        const std::int64_t m = n.rows;
-        const std::int64_t c = n.cols;
-        // Both grads are row-indexed, so one row partition covers them.
-        par::parallel_for(0, m, par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const float cv = pc->value[i];
-            for (std::int64_t j = 0; j < c; ++j) {
-              const float dy = n.grad[i * c + j];
-              float dx = 0.0f;
-              float dc = 0.0f;
-              bwd(px->value[i * c + j], cv, dy, dx, dc);
-              if (px->requires_grad) px->grad[i * c + j] += dx;
-              if (pc->requires_grad) pc->grad[i] += dc;
-            }
-          }
-        });
+        const float* xv = px->value.data();
+        const float* cv = pc->value.data();
+        const float* dy = n.grad.data();
+        kern::colvec_bwd(grad_if_required(*px), grad_if_required(*pc), n.rows, n.cols,
+                         [&](std::int64_t i, std::int64_t k, float& dx, float& dc) {
+                           bwd(xv[k], cv[i], dy[k], dx, dc);
+                         });
       });
-  const float* xv = x.data().data();
-  const float* cv = col.data().data();
-  float* ov = out.data().data();
-  const std::int64_t c = x.cols();
-  par::parallel_for(0, x.rows(), par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i)
-      for (std::int64_t j = 0; j < c; ++j) ov[i * c + j] = fwd(xv[i * c + j], cv[i]);
-  });
+  kern::colvec_fwd(x.data().data(), col.data().data(), out.data().data(), x.rows(), x.cols(),
+                   fwd);
   return out;
 }
 
@@ -226,48 +192,35 @@ Tensor colvec_broadcast(const char* name, const Tensor& x, const Tensor& col, Fw
 
 Tensor add_colvec(const Tensor& x, const Tensor& col) {
   return colvec_broadcast(
-      "add_colvec", x, col, [](float a, float b) { return a + b; },
-      [](float, float, float dy, float& dx, float& dc) {
-        dx = dy;
-        dc = dy;
-      });
+      "add_colvec", x, col, kern::add1,
+      [](float, float, float dy, float& dx, float& dc) { kern::add1_bwd(dy, dx, dc); });
 }
 
 Tensor sub_colvec(const Tensor& x, const Tensor& col) {
   return colvec_broadcast(
-      "sub_colvec", x, col, [](float a, float b) { return kern::sub_colvec1(a, b); },
-      [](float a, float b, float dy, float& dx, float& dc) {
-        kern::sub_colvec1_bwd(a, b, dy, dx, dc);
-      });
+      "sub_colvec", x, col, kern::sub1,
+      [](float, float, float dy, float& dx, float& dc) { kern::sub1_bwd(dy, dx, dc); });
 }
 
 Tensor mul_colvec(const Tensor& x, const Tensor& col) {
-  return colvec_broadcast(
-      "mul_colvec", x, col, [](float a, float b) { return a * b; },
-      [](float a, float b, float dy, float& dx, float& dc) {
-        dx = dy * b;
-        dc = dy * a;
-      });
+  return colvec_broadcast("mul_colvec", x, col, kern::mul1, kern::mul1_bwd);
 }
 
 Tensor div_colvec(const Tensor& x, const Tensor& col) {
-  return colvec_broadcast(
-      "div_colvec", x, col, [](float a, float b) { return kern::div_colvec1(a, b); },
-      [](float a, float b, float dy, float& dx, float& dc) {
-        kern::div_colvec1_bwd(a, b, dy, dx, dc);
-      });
+  return colvec_broadcast("div_colvec", x, col, kern::div1, kern::div1_bwd);
 }
 
 // ----------------------------------------------------------------- scalar --
 
 Tensor scale(const Tensor& x, float s) {
   return elementwise_unary(
-      x, [s](float v) { return v * s; }, [s](float, float, float dy) { return dy * s; });
+      x, [s](float v) { return kern::mul1(v, s); },
+      [s](float, float, float dy) { return kern::mul1(dy, s); });
 }
 
 Tensor add_scalar(const Tensor& x, float s) {
   return elementwise_unary(
-      x, [s](float v) { return v + s; }, [](float, float, float dy) { return dy; });
+      x, [s](float v) { return kern::add1(v, s); }, [](float, float, float dy) { return dy; });
 }
 
 // ------------------------------------------------------------------ unary --
@@ -278,15 +231,13 @@ Tensor neg(const Tensor& x) {
 }
 
 Tensor relu(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return kern::relu1(v); },
-      [](float v, float, float dy) { return v > 0.0f ? dy : 0.0f; });
+  return elementwise_unary(x, kern::relu1,
+                           [](float v, float, float dy) { return kern::relu1_bwd(v, dy); });
 }
 
 Tensor sigmoid(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return kern::sigmoid1(v); },
-      [](float, float y, float dy) { return dy * y * (1.0f - y); });
+  return elementwise_unary(x, kern::sigmoid1,
+                           [](float, float y, float dy) { return kern::sigmoid1_bwd(y, dy); });
 }
 
 Tensor tanh_op(const Tensor& x) {
@@ -314,9 +265,8 @@ Tensor sqrt_op(const Tensor& x) {
 }
 
 Tensor square(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return v * v; },
-      [](float v, float, float dy) { return dy * 2.0f * v; });
+  return elementwise_unary(x, kern::square1,
+                           [](float v, float, float dy) { return kern::square1_bwd(v, dy); });
 }
 
 Tensor abs_op(const Tensor& x) {

@@ -36,22 +36,54 @@ XcNormalizer fit_normalizer(std::span<const TaskData* const> train) {
   return normalizer;
 }
 
-namespace {
-
-// Per-epoch JSONL telemetry (DESIGN.md §8), enabled by CIRCUITGPS_RUN_LOG.
-// Returns nullptr when the variable is unset or the path cannot be opened;
-// the training loop itself is unchanged either way (records are built from
-// values the loop already computes).
-std::unique_ptr<JsonlFile> open_run_log() {
+RunLog::RunLog() : run_id_(trace::make_run_id()) {
   const std::string path = env_run_log_path();
-  if (path.empty()) return nullptr;
-  auto log = std::make_unique<JsonlFile>(path, env_run_log_max_bytes());
-  if (!log->ok()) {
+  if (path.empty()) return;
+  file_ = std::make_unique<JsonlFile>(path, env_run_log_max_bytes());
+  if (!file_->ok()) {
     log_warn("CIRCUITGPS_RUN_LOG: cannot open ", path, "; epoch telemetry disabled");
-    return nullptr;
+    file_.reset();
   }
-  return log;
 }
+
+RunLog::~RunLog() = default;
+
+void RunLog::write(const EpochRecord& r) const {
+  if (file_ == nullptr) return;
+  JsonWriter w;
+  w.begin_object();
+  w.field("schema", "cgps-train-v1");
+  w.field("run_id", run_id_);
+  w.field("model", r.model);
+  w.field("task", r.task);
+  w.field("epoch", r.epoch);
+  w.field("epochs_total", r.epochs_total);
+  w.field("loss", r.loss);
+  w.field("lr", r.lr);
+  w.field("batches", r.batches);
+  w.field("samples", r.samples);
+  w.field("t_sample_s", r.t_sample_s);
+  w.field("t_batch_s", r.t_batch_s);
+  w.field("t_fwd_s", r.t_fwd_s);
+  w.field("t_bwd_s", r.t_bwd_s);
+  w.field("t_opt_s", r.t_opt_s);
+  if (std::isnan(r.val_score)) {
+    w.null_field("val_score");
+  } else {
+    w.field("val_score", r.val_score);
+  }
+  w.field("threads", par::max_threads());
+  w.field("rss_mb", static_cast<double>(current_rss_bytes()) / (1024.0 * 1024.0));
+  w.field("elapsed_s", r.elapsed_s);
+  w.key("counters");
+  MetricsRegistry::instance().write_counters_json(w);
+  w.key("gauges");
+  MetricsRegistry::instance().write_gauges_json(w);
+  w.end_object();
+  file_->write_line(w.str());
+}
+
+namespace {
 
 // One (task, sample-range) unit of work per step; single-task batches keep
 // the X_C source unambiguous.
@@ -153,8 +185,7 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
 
   model.set_training(true);
   exec::PlanRunner runner(model);
-  const std::unique_ptr<JsonlFile> run_log = open_run_log();
-  const std::string run_id = trace::make_run_id();
+  const RunLog run_log;
   Stopwatch timer;
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const TraceSpan epoch_span("train.epoch");
@@ -227,39 +258,13 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
       }
     }
     par::sample_pool_gauges();  // epoch-boundary pool gauges (DESIGN.md §8)
-    if (run_log != nullptr) {
-      JsonWriter w;
-      w.begin_object();
-      w.field("schema", "cgps-train-v1");
-      w.field("run_id", run_id);
-      w.field("model", "circuitgps");
-      w.field("task", link_task ? "link" : "regression");
-      w.field("epoch", epoch);
-      w.field("epochs_total", options.epochs);
-      w.field("loss", batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0);
-      w.field("lr", static_cast<double>(optimizer.lr()));
-      w.field("batches", batches);
-      w.field("samples", samples);
-      w.field("t_sample_s", t_sample);
-      w.field("t_batch_s", t_batch);
-      w.field("t_fwd_s", t_fwd);
-      w.field("t_bwd_s", t_bwd);
-      w.field("t_opt_s", t_opt);
-      if (std::isnan(val_score)) {
-        w.null_field("val_score");
-      } else {
-        w.field("val_score", val_score);
-      }
-      w.field("threads", par::max_threads());
-      w.field("rss_mb", static_cast<double>(current_rss_bytes()) / (1024.0 * 1024.0));
-      w.field("elapsed_s", timer.seconds());
-      w.key("counters");
-      MetricsRegistry::instance().write_counters_json(w);
-      w.key("gauges");
-      MetricsRegistry::instance().write_gauges_json(w);
-      w.end_object();
-      run_log->write_line(w.str());
-    }
+    run_log.write({.model = "circuitgps", .task = link_task ? "link" : "regression",
+                   .epoch = epoch, .epochs_total = options.epochs,
+                   .loss = batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0,
+                   .lr = static_cast<double>(optimizer.lr()), .batches = batches,
+                   .samples = samples, .t_sample_s = t_sample, .t_batch_s = t_batch,
+                   .t_fwd_s = t_fwd, .t_bwd_s = t_bwd, .t_opt_s = t_opt,
+                   .val_score = val_score, .elapsed_s = timer.seconds()});
     if (stop) break;
   }
   if (early_stopping && !best.params.empty()) best.restore(model);

@@ -7,9 +7,14 @@
 #include "train/task_data.hpp"
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <span>
+#include <string>
 
 namespace cgps {
+
+class JsonlFile;
 
 enum class LrSchedule : std::int8_t {
   kConstant = 0,
@@ -80,5 +85,36 @@ RegressionMetrics evaluate_regression(CircuitGps& model, const XcNormalizer& nor
 // Raw per-sample predictions (normalized caps clamped to [0, 1]).
 std::vector<float> predict_regression(CircuitGps& model, const XcNormalizer& normalizer,
                                       const TaskData& test, int batch_size = 64);
+
+// One epoch's cgps-train-v1 record (DESIGN.md §8), filled by the CircuitGPS
+// and the baseline trainers alike.
+struct EpochRecord {
+  const char* model = "";
+  const char* task = "";
+  int epoch = 0, epochs_total = 0;
+  double loss = 0.0, lr = 0.0;
+  std::int64_t batches = 0, samples = 0;
+  double t_sample_s = 0.0, t_batch_s = 0.0, t_fwd_s = 0.0, t_bwd_s = 0.0, t_opt_s = 0.0;
+  double val_score = std::numeric_limits<double>::quiet_NaN();  // null when NaN
+  double elapsed_s = 0.0;
+};
+
+// A training run's per-epoch JSONL telemetry, enabled by CIRCUITGPS_RUN_LOG;
+// write() is a no-op when the variable is unset or the path cannot be
+// opened. Records carry values the loop already computes, so the training
+// loop is unchanged either way.
+class RunLog {
+ public:
+  RunLog();
+  ~RunLog();
+
+  // Appends the record with the run id, pool width, RSS and the registry's
+  // counters and gauges.
+  void write(const EpochRecord& record) const;
+
+ private:
+  std::unique_ptr<JsonlFile> file_;
+  std::string run_id_;
+};
 
 }  // namespace cgps

@@ -482,4 +482,29 @@ void JsonlFile::write_line(std::string_view line) {
   bytes_ += incoming;
 }
 
+EnvJsonlSink& EnvJsonlSink::process_lifetime(const Spec& spec) {
+  return *new EnvJsonlSink(spec);
+}
+
+void EnvJsonlSink::write_line(std::string_view line) {
+  const std::string path = spec_.path();
+  const std::scoped_lock lock(mu_);
+  if (path.empty()) {
+    file_.reset();
+    path_.clear();
+    return;
+  }
+  if (path_ != path) {
+    path_ = path;
+    file_ = std::make_unique<JsonlFile>(path_, spec_.max_bytes ? spec_.max_bytes() : 0);
+    if (!file_->ok()) {
+      log_warn(spec_.var, ": cannot open ", path_, "; ", spec_.stream, " disabled");
+      file_.reset();
+    } else if (spec_.header) {
+      file_->write_line(spec_.header());
+    }
+  }
+  if (file_) file_->write_line(line);
+}
+
 }  // namespace cgps

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -117,6 +118,36 @@ class JsonlFile {
   std::FILE* file_ = nullptr;
   std::int64_t max_bytes_ = 0;
   std::int64_t bytes_ = 0;  // current file size (tracked for rotation)
+};
+
+// A JSONL stream at the path an environment variable names, read afresh on
+// every write so tests can retarget it: the file is reopened when the path
+// changes and closed when the variable is unset, and a path that cannot be
+// opened warns once. The span trace and the serve access log both use one.
+class EnvJsonlSink {
+ public:
+  struct Spec {
+    const char* var;                        // named in the open warning
+    std::string (*path)();                  // reads `var` (util/env)
+    const char* stream;                     // "<stream> disabled" in the warning
+    std::int64_t (*max_bytes)() = nullptr;  // rotation cap of each opened file
+    std::string (*header)() = nullptr;      // first line of each opened file
+  };
+
+  // A sink that is never destroyed: records still arrive from destructors
+  // that run while statics are destroyed, after a static sink would be gone.
+  static EnvJsonlSink& process_lifetime(const Spec& spec);
+
+  // Append one line to the file the variable names now, if it is open.
+  void write_line(std::string_view line);
+
+ private:
+  explicit EnvJsonlSink(const Spec& spec) : spec_(spec) {}
+
+  const Spec spec_;
+  std::mutex mu_;
+  std::string path_;  // path the current file (or failure) corresponds to
+  std::unique_ptr<JsonlFile> file_;
 };
 
 }  // namespace cgps

@@ -178,12 +178,12 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(std::string_view name,
+                                      const std::vector<double>& bounds) {
   const std::scoped_lock lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end())
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>(std::move(bounds)))
-             .first;
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>(bounds)).first;
   return *it->second;
 }
 
@@ -248,8 +248,8 @@ Counter& metric_counter(std::string_view name) {
 
 Gauge& metric_gauge(std::string_view name) { return MetricsRegistry::instance().gauge(name); }
 
-Histogram& metric_histogram(std::string_view name, std::vector<double> bounds) {
-  return MetricsRegistry::instance().histogram(name, std::move(bounds));
+Histogram& metric_histogram(std::string_view name, const std::vector<double>& bounds) {
+  return MetricsRegistry::instance().histogram(name, bounds);
 }
 
 std::int64_t current_rss_bytes() {

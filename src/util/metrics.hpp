@@ -142,7 +142,8 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
+  // `bounds` are copied only when `name` is registered here.
+  Histogram& histogram(std::string_view name, const std::vector<double>& bounds);
 
   // Emit the full registry as one JSON object in value position:
   // {"counters":{...},"gauges":{...},"histograms":{name:{...}}}.
@@ -169,7 +170,7 @@ class MetricsRegistry {
 // Convenience accessors against the process-wide registry.
 Counter& metric_counter(std::string_view name);
 Gauge& metric_gauge(std::string_view name);
-Histogram& metric_histogram(std::string_view name, std::vector<double> bounds);
+Histogram& metric_histogram(std::string_view name, const std::vector<double>& bounds);
 
 // Resident set size of this process in bytes (0 where unsupported).
 std::int64_t current_rss_bytes();

@@ -2,14 +2,11 @@
 
 #include "util/env.hpp"
 #include "util/json_writer.hpp"
-#include "util/logging.hpp"
 #include "util/metrics.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #ifdef __linux__
@@ -30,23 +27,9 @@ std::int64_t process_pid() {
 #endif
 }
 
-// Event sink guarded by one mutex: reopened whenever CIRCUITGPS_TRACE
-// changes between calls (tests retarget it), dropped when it is unset. A
-// path that fails to open is remembered so the warning fires once.
-struct Sink {
-  std::mutex mu;
-  std::string path;  // path the current file (or failure) corresponds to
-  std::unique_ptr<JsonlFile> file;
-};
-
-Sink& sink_state() {
-  static Sink* s = new Sink();  // never destroyed (spans run at exit)
-  return *s;
-}
-
 // Metadata header emitted once per opened file: tags the stream with the
 // schema and run id so mixed logs stay attributable.
-void write_header(JsonlFile& file) {
+std::string header() {
   JsonWriter w;
   w.begin_object();
   w.field("schema", "cgps-trace-v1");
@@ -56,54 +39,27 @@ void write_header(JsonlFile& file) {
   w.field("pid", process_pid());
   w.key("args").begin_object().field("name", "circuitgps").end_object();
   w.end_object();
-  file.write_line(w.str());
+  return w.str();
 }
 
-// Returns the open sink for the current CIRCUITGPS_TRACE value, or nullptr
-// when tracing is off (or the path cannot be opened).
-JsonlFile* sink() {
-  const std::string path = env_trace_path();
-  Sink& s = sink_state();
-  const std::scoped_lock lock(s.mu);
-  if (path.empty()) {
-    s.file.reset();
-    s.path.clear();
-    return nullptr;
-  }
-  if (s.path != path) {
-    s.path = path;
-    s.file = std::make_unique<JsonlFile>(s.path);
-    if (!s.file->ok()) {
-      log_warn("CIRCUITGPS_TRACE: cannot open ", s.path, "; span streaming disabled");
-      s.file.reset();
-    } else {
-      write_header(*s.file);
-    }
-  }
-  return s.file.get();
-}
-
-void write_event(std::string_view name, const char* phase, std::int64_t ts_us,
-                 double dur_s, bool with_dur) {
+void write_event(std::string_view name, const char* phase, std::int64_t ts_us) {
   if (!stream_enabled()) return;  // keep the off path lock-free
-  JsonlFile* file = sink();
-  if (file == nullptr) return;
+  static EnvJsonlSink& sink = EnvJsonlSink::process_lifetime(
+      {"CIRCUITGPS_TRACE", env_trace_path, "span streaming", nullptr, header});
   JsonWriter w;
   w.begin_object();
   w.field("name", name);
   w.field("cat", "cgps");
   w.field("ph", phase);
   w.field("ts", ts_us);
-  if (with_dur) w.field("dur", static_cast<std::int64_t>(dur_s * 1e6));
   w.field("pid", process_pid());
   w.field("tid", thread_id());
   w.end_object();
-  file->write_line(w.str());
+  sink.write_line(w.str());
 }
 
-// Thread-local stack of live span names (pointers into the owning
-// TraceSpan, which strictly outlives its stack entry).
-thread_local std::vector<const std::string*> t_stack;
+// Thread-local stack of live span names.
+thread_local std::vector<std::string_view> t_stack;
 
 }  // namespace
 
@@ -118,7 +74,7 @@ std::int64_t now_us() {
 int depth() { return static_cast<int>(t_stack.size()); }
 
 std::string_view current_span() {
-  return t_stack.empty() ? std::string_view() : std::string_view(*t_stack.back());
+  return t_stack.empty() ? std::string_view() : t_stack.back();
 }
 
 int thread_id() {
@@ -139,12 +95,9 @@ Histogram& latency_histogram(std::string_view name) {
     }
     return b;
   }();
-  return metric_histogram("trace." + std::string(name), bounds);
-}
-
-void record_complete(std::string_view name, std::int64_t start_us, double dur_s) {
-  latency_histogram(name).observe(dur_s);
-  write_event(name, "X", start_us, dur_s, /*with_dur=*/true);
+  thread_local std::string key;  // grows to the longest name, then reused
+  key.assign("trace.").append(name);
+  return metric_histogram(key, bounds);
 }
 
 std::string make_run_id() {
@@ -159,16 +112,16 @@ std::string make_run_id() {
 
 }  // namespace trace
 
-TraceSpan::TraceSpan(std::string_view name)
-    : name_(name), start_us_(trace::now_us()), hist_(&trace::latency_histogram(name)) {
-  trace::t_stack.push_back(&name_);
-  trace::write_event(name_, "B", start_us_, 0.0, /*with_dur=*/false);
+TraceSpan::TraceSpan(const char* name)
+    : name_(name), start_us_(trace::now_us()), hist_(&trace::latency_histogram(name_)) {
+  trace::t_stack.push_back(name_);
+  trace::write_event(name_, "B", start_us_);
 }
 
 TraceSpan::~TraceSpan() {
   const std::int64_t end_us = trace::now_us();
   hist_->observe(static_cast<double>(end_us - start_us_) / 1e6);
-  trace::write_event(name_, "E", end_us, 0.0, /*with_dur=*/false);
+  trace::write_event(name_, "E", end_us);
   trace::t_stack.pop_back();
 }
 

@@ -39,14 +39,9 @@ std::string_view current_span();
 int thread_id();
 
 // The latency histogram "trace.<name>" (1-2-5 log ladder, 1 µs .. 100 s,
-// in seconds) backing a span name, registered on first use.
+// in seconds) backing a span name, registered on first use. Allocates only
+// then, and on a thread's first longer name.
 Histogram& latency_histogram(std::string_view name);
-
-// Record a completed section that could not be expressed as an RAII scope
-// (the autograd backward marks): observes `dur_s` into the span's latency
-// histogram and, when streaming, emits one Chrome "X" (complete) event with
-// the given start timestamp.
-void record_complete(std::string_view name, std::int64_t start_us, double dur_s);
 
 // "timestamp-pid" hex tag identifying one run/process, so records from
 // concurrent trainers appending to a shared JSONL file stay
@@ -55,15 +50,18 @@ std::string make_run_id();
 
 }  // namespace trace
 
+// With streaming off, a span allocates nothing once its histogram exists.
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string_view name);
+  // The span keeps `name` without copying it, so it takes a C string (every
+  // call site passes a literal) and no std::string that could die first.
+  explicit TraceSpan(const char* name);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  std::string name_;
+  std::string_view name_;
   std::int64_t start_us_ = 0;
   Histogram* hist_ = nullptr;  // cached at construction
 };

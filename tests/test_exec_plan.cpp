@@ -277,6 +277,19 @@ TEST(ExecInferenceRewrites, Table2EdgeRowWorkFallsEightfoldOnlyWithoutBackward) 
       1024);
 }
 
+// The head statistics start from the net group's scatter: no plan fills an
+// N x hidden zeros for them to be added onto.
+TEST(ExecInferenceRewrites, Table2PlansHaveNoZerosStep) {
+  EXPECT_EQ(count_steps(compiled_plan(table2_config(), /*training=*/false, exec::LossKind::kNone)
+                            .fwd,
+                        exec::Op::kZeros),
+            0);
+  EXPECT_EQ(count_steps(compiled_plan(table2_config(), /*training=*/true, exec::LossKind::kBce)
+                            .fwd,
+                        exec::Op::kZeros),
+            0);
+}
+
 TEST(ExecInferenceRewrites, EveryForwardStepOfAnInferencePlanIsRead) {
   std::vector<GpsConfig> configs = {table2_config(), small_config()};
   for (MpnnKind mpnn : {MpnnKind::kNone, MpnnKind::kGine}) {
@@ -365,10 +378,10 @@ TEST(ExecExecutor, ArenaBytesStableAcrossRebinds) {
   EXPECT_EQ(exec.arena_bytes(), bytes) << "same batch, same carve";
 }
 
-// Bind builds row groups only when the pool has more than one worker. A
-// plan bound at width 1 and run at width 2 meets null groups, and its
-// kernels group locally: the loss and every gradient keep the bits of a
-// bind and run at width 2.
+// Bind builds no row groups: the indexed kernels group their rows
+// themselves at the width they run at. A plan bound at width 1 and run at
+// width 2 keeps the bits of a bind and run at width 2, loss and every
+// gradient.
 TEST(ExecExecutor, BindAtWidthOneRunAtWidthTwoKeepsTheBits) {
   GpsConfig config = small_config();
   config.hidden = 32;
