@@ -19,6 +19,7 @@
 #include "tensor/optim.hpp"
 #include "train/dataset.hpp"
 #include "train/task_data.hpp"
+#include "train/trainer.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -377,6 +378,96 @@ void BM_ExecPerformerAttend(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecPerformerAttend);
 
+// The Performer backward's two kernels at the pre-training shape: one head
+// of a batch of 24 link subgraphs, N = 331 rows (about 14 per graph), dh 8
+// and fm 16. BM_ExecPerformerAttendBwd is the attend backward over every
+// graph, BM_ExecFavorBwd one FAVOR+ feature backward over all N rows.
+// Outside the micro gate's pinned filter; exported as
+// exec.performer_attend_bwd.real_ns and exec.favor_bwd.real_ns.
+struct PerformerBwdInputs {
+  static constexpr std::int64_t rows = 331, graphs = 24, dh = 8, fm = 16, stride = 32;
+  std::vector<std::int64_t> graph_ptr;
+  std::vector<float> dy, phi_q, phi_k, v, kv, z, numer, denom, dkv, dz, dphi_q, dphi_k, dv;
+  std::vector<float> u, e, omega, dphi, du;
+
+  PerformerBwdInputs() {
+    Rng rng(19);
+    const auto n = [](std::int64_t count) { return static_cast<std::size_t>(count); };
+    for (std::int64_t g = 0; g <= graphs; ++g) graph_ptr.push_back(g * rows / graphs);
+    const auto fill = [&](std::vector<float>& x, std::int64_t count, float scale, bool positive) {
+      x.resize(n(count));
+      for (float& a : x)
+        a = positive ? scale * std::exp(0.5f * rng.normal()) : scale * rng.normal();
+    };
+    // FAVOR+ features and denominators are positive.
+    fill(dy, rows * stride, 1.0f, false);
+    fill(phi_q, rows * fm, 0.25f, true);
+    fill(phi_k, rows * fm, 0.25f, true);
+    fill(v, rows * dh, 1.0f, false);
+    fill(kv, graphs * fm * dh, 1.0f, false);
+    fill(z, graphs * fm, 1.0f, true);
+    fill(numer, rows * dh, 1.0f, false);
+    fill(denom, rows, 1.0f, true);
+    fill(u, rows * dh, 0.5f, false);
+    fill(e, rows * fm, 1.0f, true);
+    fill(omega, dh * fm, 1.0f, false);
+    fill(dphi, rows * fm, 1.0f, false);
+    dkv.resize(kv.size());
+    dz.resize(z.size());
+    dphi_q.resize(phi_q.size());
+    dphi_k.resize(phi_k.size());
+    dv.resize(v.size());
+    du.resize(u.size());
+  }
+};
+
+void BM_ExecPerformerAttendBwd(benchmark::State& state) {
+  PerformerBwdInputs in;
+  const exec::KernelBackend& backend = exec::select_backend();
+  for (auto _ : state) {
+    backend.performer_attend_bwd(in.dy.data(), in.stride, in.phi_q.data(), in.phi_k.data(),
+                                 in.v.data(), in.kv.data(), in.z.data(), in.numer.data(),
+                                 in.denom.data(), in.graph_ptr.data(), in.graphs, in.dh, in.fm,
+                                 in.dkv.data(), in.dz.data(), in.dphi_q.data(), in.dphi_k.data(),
+                                 in.dv.data());
+    benchmark::DoNotOptimize(in.dv.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExecPerformerAttendBwd);
+
+void BM_ExecFavorBwd(benchmark::State& state) {
+  PerformerBwdInputs in;
+  const exec::KernelBackend& backend = exec::select_backend();
+  std::vector<float> dphi = in.dphi;
+  for (auto _ : state) {
+    // favor_bwd overwrites dphi with d = dphi * scale * e; restore it, as
+    // the attend backward rewrites it before every call in a step.
+    std::copy(in.dphi.begin(), in.dphi.end(), dphi.begin());
+    backend.favor_bwd(dphi.data(), in.u.data(), in.e.data(), in.omega.data(), in.rows, in.dh,
+                      in.fm, 0.25f, in.du.data());
+    benchmark::DoNotOptimize(in.du.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExecFavorBwd);
+
+// One training dropout mask: ten hidden-32 activations of a 331-node
+// pre-training batch, 105,920 elements at p = 0.1. Outside the micro gate's
+// pinned filter; exported as tensor.dropout_mask.real_ns.
+void BM_DropoutMask(benchmark::State& state) {
+  constexpr std::int64_t count = 331 * 32 * 10;
+  std::vector<float> mask(static_cast<std::size_t>(count));
+  Rng rng(20);
+  for (auto _ : state) {
+    kern::dropout_mask(rng, 0.1f, mask.data(), count);
+    benchmark::DoNotOptimize(mask.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_DropoutMask);
+
 // Plan-shaped buffer set: ~200 tensors with staggered liveness.
 std::vector<exec::ArenaRequest> arena_requests() {
   std::vector<exec::ArenaRequest> reqs;
@@ -552,6 +643,55 @@ void BM_ExecPlannedTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecPlannedTrainStep);
+
+// One Table-II pre-training step the way train_fewshot takes it:
+// forward_loss (BCE), zero_grad, backward and an Adam step on a batch of 24
+// SSRAM link subgraphs at hops 1 and 96 nodes per anchor, the design at
+// train scale 0.5. Outside the micro gate's pinned filter; exported as
+// exec.train_step.planned_table2.real_ns.
+struct Table2TrainFixture {
+  std::unique_ptr<CircuitDataset> dataset;
+  std::unique_ptr<CircuitGps> model;
+  std::unique_ptr<exec::PlanRunner> runner;
+  std::unique_ptr<Adam> optimizer;
+  SubgraphBatch batch;
+  std::vector<float> labels;
+
+  Table2TrainFixture() {
+    DatasetOptions options;
+    options.design_scale.train_scale = 0.5;
+    dataset = std::make_unique<CircuitDataset>(build_dataset(gen::DatasetId::kSsram, options));
+    SubgraphOptions sg;
+    sg.hops = 1;
+    sg.max_nodes_per_anchor = 96;
+    Rng rng(21);
+    const TaskData task = TaskData::for_links(*dataset, sg, 24, rng);
+    const TaskData* tasks[] = {&task};
+    const XcNormalizer normalizer = fit_normalizer(tasks);
+    model = std::make_unique<CircuitGps>(bench::bench_gps_config());
+    model->set_training(true);
+    std::vector<const Subgraph*> refs;
+    for (const Subgraph& s : task.subgraphs) refs.push_back(&s);
+    labels = task.labels;
+    batch = make_batch(refs, task.graph->xc, normalizer, batch_options_for(model->config()));
+    runner = std::make_unique<exec::PlanRunner>(*model);
+    optimizer = std::make_unique<Adam>(model->trainable_parameters(), 2e-3f);
+  }
+};
+
+void BM_ExecPlannedTrainStepTable2(benchmark::State& state) {
+  static Table2TrainFixture f;
+  for (auto _ : state) {
+    const float loss = f.runner->forward_loss(f.batch, f.labels, 0.0f, /*link=*/true);
+    f.optimizer->zero_grad();
+    f.runner->backward();
+    f.optimizer->step();
+    benchmark::DoNotOptimize(loss);
+  }
+  state.counters["nodes"] = static_cast<double>(f.batch.num_nodes());
+  state.counters["graphs"] = static_cast<double>(f.batch.num_graphs());
+}
+BENCHMARK(BM_ExecPlannedTrainStepTable2);
 
 void BM_DatasetExtraction(benchmark::State& state) {
   const Netlist netlist = flatten(gen::timing_control());
@@ -733,9 +873,10 @@ int main(int argc, char** argv) {
     // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
     // kernel pairs, arena vs heap binding, whole-model planned vs eager, the
     // served Table-II forward and its bind, the forward matmuls, the
-    // training-shaped backward matmuls, the FAVOR+ feature pass and the
-    // Performer's packed projection and attend; and for bulk-screen subgraph
-    // extraction (DESIGN.md §11).
+    // training-shaped backward matmuls, the FAVOR+ feature pass, the
+    // Performer's packed projection and attend and their backwards, the
+    // dropout mask and the Table-II pre-training step; and for bulk-screen
+    // subgraph extraction (DESIGN.md §11).
     static const std::pair<const char*, const char*> kAliases[] = {
         {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
         {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
@@ -761,6 +902,10 @@ int main(int argc, char** argv) {
         {"BM_ExecFavorFeatures", "exec.favor_fwd.real_ns"},
         {"BM_ExecQkvProjection", "exec.qkv_fwd.real_ns"},
         {"BM_ExecPerformerAttend", "exec.performer_attend.real_ns"},
+        {"BM_ExecPerformerAttendBwd", "exec.performer_attend_bwd.real_ns"},
+        {"BM_ExecFavorBwd", "exec.favor_bwd.real_ns"},
+        {"BM_DropoutMask", "tensor.dropout_mask.real_ns"},
+        {"BM_ExecPlannedTrainStepTable2", "exec.train_step.planned_table2.real_ns"},
         {"BM_ExtractBulkScreen", "graph.extract_bulk.real_ns"},
     };
     for (const auto& [bench, key] : kAliases) {

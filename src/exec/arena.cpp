@@ -1,7 +1,7 @@
 #include "exec/arena.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 namespace cgps::exec {
 
@@ -15,104 +15,106 @@ std::int64_t round_up(std::int64_t floats) {
   return (floats + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
 }
 
-struct FreeBlock {
-  std::int64_t offset = 0;
-  std::int64_t size = 0;
-};
+}  // namespace
 
 // Insert a freed block into the offset-sorted free list, coalescing with
 // adjacent neighbours so long-lived fragmentation cannot build up.
-void release(std::vector<FreeBlock>& free_list, std::int64_t offset, std::int64_t size) {
+void Arena::release(std::int64_t offset, std::int64_t size) {
   auto it = std::lower_bound(
-      free_list.begin(), free_list.end(), offset,
+      free_list_.begin(), free_list_.end(), offset,
       [](const FreeBlock& b, std::int64_t off) { return b.offset < off; });
   // Merge with the successor.
-  if (it != free_list.end() && offset + size == it->offset) {
+  if (it != free_list_.end() && offset + size == it->offset) {
     it->offset = offset;
     it->size += size;
-    if (it != free_list.begin()) {
+    if (it != free_list_.begin()) {
       auto prev = std::prev(it);
       if (prev->offset + prev->size == it->offset) {
         prev->size += it->size;
-        free_list.erase(it);
+        free_list_.erase(it);
       }
     }
     return;
   }
   // Merge with the predecessor.
-  if (it != free_list.begin()) {
+  if (it != free_list_.begin()) {
     auto prev = std::prev(it);
     if (prev->offset + prev->size == offset) {
       prev->size += size;
       return;
     }
   }
-  free_list.insert(it, FreeBlock{offset, size});
+  free_list_.insert(it, FreeBlock{offset, size});
 }
 
-}  // namespace
+const std::vector<std::int64_t>& Arena::bind(const std::vector<ArenaRequest>& requests) {
+  const std::size_t n = requests.size();
+  offsets_.assign(n, 0);
 
-std::vector<std::int64_t> Arena::bind(const std::vector<ArenaRequest>& requests) {
-  std::vector<std::int64_t> offsets(requests.size(), 0);
+  // Process in ascending def order, ties in request order. A plan's defs are
+  // its step indices, the same on every bind, so the order is re-sorted only
+  // when they change.
+  bool same = defs_.size() == n;
+  for (std::size_t i = 0; same && i < n; ++i) same = defs_[i] == requests[i].def;
+  if (!same) {
+    defs_.resize(n);
+    order_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      defs_[i] = requests[i].def;
+      order_[i] = i;
+    }
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return defs_[a] != defs_[b] ? defs_[a] < defs_[b] : a < b;
+    });
+  }
 
-  // Process in ascending def order (stable on request index so equal-def
-  // placement is deterministic).
-  std::vector<std::size_t> order(requests.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return requests[a].def < requests[b].def;
-  });
-
-  struct Live {
-    int last = 0;
-    std::int64_t offset = 0;
-    std::int64_t size = 0;
-    bool operator>(const Live& o) const { return last > o.last; }
-  };
-  std::priority_queue<Live, std::vector<Live>, std::greater<Live>> expiring;
-  std::vector<FreeBlock> free_list;
+  expiring_.clear();
+  free_list_.clear();
+  const std::greater<Live> later;  // a min-heap on last
   std::int64_t high_water = 0;
 
-  for (const std::size_t i : order) {
+  for (const std::size_t i : order_) {
     const ArenaRequest& req = requests[i];
     if (req.floats <= 0) continue;
     // Expire everything whose lifetime ended strictly before this def.
-    while (!expiring.empty() && expiring.top().last < req.def) {
-      const Live done = expiring.top();
-      expiring.pop();
-      release(free_list, done.offset, done.size);
+    while (!expiring_.empty() && expiring_.front().last < req.def) {
+      std::pop_heap(expiring_.begin(), expiring_.end(), later);
+      const Live done = expiring_.back();
+      expiring_.pop_back();
+      release(done.offset, done.size);
     }
     const std::int64_t need = round_up(req.floats);
     std::int64_t offset = -1;
     // First fit.
-    for (auto it = free_list.begin(); it != free_list.end(); ++it) {
+    for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
       if (it->size < need) continue;
       offset = it->offset;
       it->offset += need;
       it->size -= need;
-      if (it->size == 0) free_list.erase(it);
+      if (it->size == 0) free_list_.erase(it);
       break;
     }
     if (offset < 0) {
       // Extend the slab; absorb a trailing free block touching the high-water
       // mark so extension does not strand it.
-      if (!free_list.empty() &&
-          free_list.back().offset + free_list.back().size == high_water) {
-        offset = free_list.back().offset;
-        free_list.pop_back();
+      if (!free_list_.empty() &&
+          free_list_.back().offset + free_list_.back().size == high_water) {
+        offset = free_list_.back().offset;
+        free_list_.pop_back();
       } else {
         offset = high_water;
       }
       high_water = offset + need;
     }
-    offsets[i] = offset;
-    expiring.push(Live{std::max(req.last, req.def), offset, need});
+    offsets_[i] = offset;
+    expiring_.push_back(Live{std::max(req.last, req.def), offset, need});
+    std::push_heap(expiring_.begin(), expiring_.end(), later);
   }
 
   bound_floats_ = high_water;
   if (high_water > static_cast<std::int64_t>(slab_.size()))
     slab_.resize(static_cast<std::size_t>(high_water));  // monotone growth
-  return offsets;
+  return offsets_;
 }
 
 }  // namespace cgps::exec

@@ -8,6 +8,7 @@
 // stops touching the system allocator after the first few batches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,11 +25,13 @@ struct ArenaRequest {
 
 class Arena {
  public:
-  // Assign a slab offset (in floats) to every request. Offsets and rounded
-  // sizes are 64-byte aligned. Buffers whose lifetimes overlap never share
-  // bytes; disjoint lifetimes are packed first-fit with free-block
-  // coalescing. Grows the slab if this bind needs more than any previous one.
-  std::vector<std::int64_t> bind(const std::vector<ArenaRequest>& requests);
+  // Assign a slab offset (in floats) to every request; the offsets stay
+  // valid until the next bind. Offsets and rounded sizes are 64-byte
+  // aligned. Buffers whose lifetimes overlap never share bytes; disjoint
+  // lifetimes are packed first-fit with free-block coalescing. Grows the
+  // slab if this bind needs more than any previous one. A bind whose
+  // requests have the defs of the previous one allocates nothing.
+  const std::vector<std::int64_t>& bind(const std::vector<ArenaRequest>& requests);
 
   float* base() { return slab_.data(); }
   // High-water mark of the most recent bind, in bytes (exec.arena_bytes).
@@ -38,8 +41,27 @@ class Arena {
   }
 
  private:
+  struct FreeBlock {
+    std::int64_t offset = 0;
+    std::int64_t size = 0;
+  };
+  struct Live {
+    int last = 0;
+    std::int64_t offset = 0;
+    std::int64_t size = 0;
+    bool operator>(const Live& o) const { return last > o.last; }
+  };
+
+  void release(std::int64_t offset, std::int64_t size);
+
   std::vector<float> slab_;
   std::int64_t bound_floats_ = 0;
+  // Reused across binds.
+  std::vector<std::int64_t> offsets_;
+  std::vector<int> defs_;             // the request defs that order_ sorts
+  std::vector<std::size_t> order_;    // request indices by def, ties by index
+  std::vector<Live> expiring_;        // min-heap on last
+  std::vector<FreeBlock> free_list_;  // sorted by offset
 };
 
 }  // namespace cgps::exec

@@ -53,6 +53,27 @@
 //     division. It reads phi_k in place (no transposed copy, no ones
 //     vector). Work is split over graphs, and every output belongs to one
 //     graph, so results do not depend on the thread count.
+//   * performer_attend_bwd keeps, per graph and per element, the sequence of
+//     the per-graph calls it replaces, with dnumer[i,j] = 0 + dy[i,j] /
+//     denom[i] and ddenom[i] = 0 + c[i,0] + c[i,1] + ... (j ascending, c =
+//     ((-dy) * numer) / (denom * denom)), each term rounded on its own:
+//     dz[m] and dkv[m,j] over the graph's rows ascending, skipping phi_q ==
+//     0 (scalar: from +0.0, += product; AVX2: the matmul_db fma chain);
+//     dphi_q[i,m] = (0 + ddenom[i] z[m]) + (dnumer[i] . kv[m]) (AVX2: 0 +
+//     fma(ddenom, z, +0.0), then the matmul_da lane/tree sum); dphi_k[i,m] =
+//     0 + ((0 + dz[m]) + (v[i] . dkv[m])), the dot as in dphi_q; dv[i,j]
+//     over m ascending, skipping phi_k == 0, from +0.0 (scalar: += product;
+//     AVX2: the matmul_db fma chain). It reads phi_k in place (no transposed
+//     copy, no ones vector) and dy with its stride. Work is split over
+//     graphs, and every output belongs to one graph.
+//   * favor_bwd keeps, per row and per element, the sequence of the eager
+//     closures it replaces: d = (dphi * scale) * e, two roundings; s = 0 +
+//     (-d[0]) + (-d[1]) + ... over j ascending; dsq = 0 + s * 0.5; du[i,p] =
+//     (0 + (dsq * 2) * u[i,p]) + (d[i] . omega[p]), the dot being
+//     matmul_da's sequence of the backend. Work is split over rows.
+//     In the AVX2 TU, built with -mfma, a product that the scalar code rounds
+//     before an add is written fma(a, b, -0.0) (see half_sq_norm), so the
+//     compiler cannot fuse it into the add.
 //   * No allocation anywhere in a kernel body: every buffer, including
 //     scratch, is carved from the plan arena by the caller
 //     (tools/cgps_lint enforces this for src/exec/backend_*.cpp).
@@ -113,10 +134,33 @@ class KernelBackend {
                                     std::int64_t dh, std::int64_t fm, float* kv, float* z,
                                     float* numer, float* denom, float* out,
                                     std::int64_t out_stride) const = 0;
+  // Backward of performer_attend_fwd for one head over the same segments,
+  // from dy (rows x dh, row stride dy_stride; the head's column block of
+  // the layer output gradient) and the forward's saves. Per non-empty graph
+  // g, with dnumer = dy / denom and ddenom[i] = -sum_j dy[i,j] numer[i,j] /
+  // denom[i]^2: dz_g = phi_q_g^T ddenom_g (fm, at dz + g*fm) and dkv_g =
+  // phi_q_g^T dnumer_g (fm x dh, at dkv + g*fm*dh); per row i of g:
+  // dphi_q[i] = ddenom[i] z_g + kv_g dnumer[i] (fm), dphi_k[i] = dz_g +
+  // dkv_g v[i] (fm) and dv[i] = phi_k[i] dkv_g (dh). Every row of a
+  // non-empty graph is written, not accumulated.
+  virtual void performer_attend_bwd(const float* dy, std::int64_t dy_stride, const float* phi_q,
+                                    const float* phi_k, const float* v, const float* kv,
+                                    const float* z, const float* numer, const float* denom,
+                                    const std::int64_t* graph_ptr, std::int64_t graphs,
+                                    std::int64_t dh, std::int64_t fm, float* dkv, float* dz,
+                                    float* dphi_q, float* dphi_k, float* dv) const = 0;
+  // Backward of favor_fwd for `rows` rows into du (rows x dh, written, not
+  // accumulated), given dphi (rows x fm), u and the saved e: d = dphi *
+  // scale * e, which overwrites dphi, then du[i] = -(sum_j d[i,j]) u[i] +
+  // omega d[i], omega being the head's dh x fm feature matrix.
+  virtual void favor_bwd(float* dphi, const float* u, const float* e, const float* omega,
+                         std::int64_t rows, std::int64_t dh, std::int64_t fm, float scale,
+                         float* du) const = 0;
 };
 
-// Graphs per chunk of performer_attend_fwd: about 2^14 multiply-adds of the
-// mean graph's kv and numerator work. A pure function of the sizes.
+// Graphs per chunk of performer_attend_fwd and performer_attend_bwd: about
+// 2^14 multiply-adds of the mean graph's kv and numerator work. A pure
+// function of the sizes.
 std::int64_t attend_grain(const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
                           std::int64_t fm);
 

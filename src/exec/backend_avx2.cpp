@@ -436,13 +436,20 @@ inline __m256 exp8(__m256 x) {
   return _mm256_set_m128(exp4(_mm256_extractf128_ps(x, 1)), exp4(_mm256_castps256_ps128(x)));
 }
 
+// a * b rounded on its own, as the scalar code rounds it before an add. A
+// plain a * b would be fused into a following add in this -mfma TU; fma(a,
+// b, -0.0) is exactly the rounded product (adding -0.0 changes no product,
+// not even +0.0) and its result is never fused again.
+inline float mul_rn(float a, float b) { return std::fma(a, b, -0.0f); }
+inline __m256 mul_rn(__m256 a, __m256 b) {
+  return _mm256_fmadd_ps(a, b, _mm256_set1_ps(-0.0f));
+}
+
 // 0.5 * sum_j u[j]^2 over j ascending from +0.0, each square rounded on its
-// own as in the scalar backend. A plain u * u would be fused into the add in
-// this -mfma TU; fma(u, u, -0.0) is exactly the rounded square (adding -0.0
-// changes no product, not even +0.0) and its result is never fused again.
+// own as in the scalar backend.
 inline float half_sq_norm(const float* u, std::int64_t dh) {
   float sum = 0.0f;
-  for (std::int64_t j = 0; j < dh; ++j) sum += std::fma(u[j], u[j], -0.0f);
+  for (std::int64_t j = 0; j < dh; ++j) sum += mul_rn(u[j], u[j]);
   return sum * 0.5f;
 }
 
@@ -456,6 +463,25 @@ template <bool Masked>
 inline void store8(float* p, __m256i mask, __m256 v) {
   if constexpr (Masked) _mm256_maskstore_ps(p, mask, v);
   else _mm256_storeu_ps(p, v);
+}
+
+// The 8 x 8 matrix of eight row registers, transposed in place.
+inline void transpose8(__m256 (&r)[8]) {
+  __m256 t[8], u[8];
+  for (int k = 0; k < 8; k += 2) {
+    t[k] = _mm256_unpacklo_ps(r[k], r[k + 1]);
+    t[k + 1] = _mm256_unpackhi_ps(r[k], r[k + 1]);
+  }
+  for (int k = 0; k < 8; k += 4) {
+    u[k] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[k + 1] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[k + 2] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[k + 3] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int k = 0; k < 4; ++k) {
+    r[k] = _mm256_permute2f128_ps(u[k], u[k + 4], 0x20);
+    r[k + 4] = _mm256_permute2f128_ps(u[k], u[k + 4], 0x31);
+  }
 }
 
 // e = exp8(proj - half), phi = e * scale.
@@ -550,20 +576,29 @@ inline __m256 numer_chunk(const float* a, const float* kv, const float* z, std::
   return acc;
 }
 
+// kv (fm x dh) = phi^T v over one graph's len rows, and with z also z =
+// phi^T 1: kv_block over every block of eight kv rows and eight columns.
+inline void phi_t_matmul(const float* phi, const float* v, std::int64_t len, std::int64_t dh,
+                         std::int64_t fm, float* kv, float* z) {
+  const __m256i tail = lane_mask(dh % 8);
+  for (std::int64_t m0 = 0; m0 < fm; m0 += 8) {
+    const std::int64_t rows = fm - m0 < 8 ? fm - m0 : 8;
+    float* zm = z == nullptr ? nullptr : z + m0;
+    std::int64_t c = 0;
+    for (; c + 8 <= dh; c += 8)
+      kv_block<false>(phi + m0, v + c, len, dh, fm, rows, tail, kv + m0 * dh + c,
+                      c == 0 ? zm : nullptr);
+    if (c < dh)
+      kv_block<true>(phi + m0, v + c, len, dh, fm, rows, tail, kv + m0 * dh + c,
+                     c == 0 ? zm : nullptr);
+  }
+}
+
 inline void attend_graph(const float* phi_q, const float* phi_k, const float* v,
                          std::int64_t len, std::int64_t dh, std::int64_t fm, float* kv, float* z,
                          float* numer, float* denom, float* out, std::int64_t out_stride) {
   const __m256i tail = lane_mask(dh % 8);
-  for (std::int64_t m0 = 0; m0 < fm; m0 += 8) {
-    const std::int64_t rows = fm - m0 < 8 ? fm - m0 : 8;
-    std::int64_t c = 0;
-    for (; c + 8 <= dh; c += 8)
-      kv_block<false>(phi_k + m0, v + c, len, dh, fm, rows, tail, kv + m0 * dh + c,
-                      c == 0 ? z + m0 : nullptr);
-    if (c < dh)
-      kv_block<true>(phi_k + m0, v + c, len, dh, fm, rows, tail, kv + m0 * dh + c,
-                     c == 0 ? z + m0 : nullptr);
-  }
+  phi_t_matmul(phi_k, v, len, dh, fm, kv, z);
   for (std::int64_t i = 0; i < len; ++i) {
     const float* a = phi_q + i * fm;
     float* ni = numer + i * dh;
@@ -581,6 +616,159 @@ inline void attend_graph(const float* phi_q, const float* phi_k, const float* v,
       store8<true>(ni + c, tail, acc);
       store8<true>(oi + c, tail, _mm256_div_ps(acc, _mm256_set1_ps(denom[i])));
     }
+  }
+}
+
+// The Performer attend backward of one graph. Every element keeps the
+// sequence of the per-graph calls it replaces (backend.hpp): the
+// div_colvec backward's divisions and in-order ddenom sum; this backend's
+// matmul_db fma chains for dz, for dkv (kv_block's sequence) and for dv
+// (numer_chunk's); and its matmul_da lane/tree sums for the dot products of
+// dphi_q and dphi_k (panel_da). A one-column matmul_da (the z and
+// ones-vector terms) is a single fma into +0.0.
+
+// 0 + fma(a, b, +0.0).
+inline __m256 first_term(__m256 a, __m256 b) {
+  const __m256 zero = _mm256_setzero_ps();
+  return _mm256_add_ps(zero, _mm256_fmadd_ps(a, b, zero));
+}
+
+// dz[m0, m0 + 8) = fma chain of phi_q[i,m] * ddenom[i] over the rows from
+// +0.0, keeping the lanes of a zero phi_q as block_db_col's skip does; and
+// dphi_q's z term 0 + fma(ddenom[i], z[m], +0.0). ddenom[i] is at dd[i *
+// fm].
+template <bool Masked>
+inline void dz_block(const float* phi_q, const float* dd, const float* z, std::int64_t len,
+                     std::int64_t fm, __m256i mask, float* dz, float* dphi_q) {
+  const __m256 zv = load8<Masked>(z, mask);
+  __m256 acc = _mm256_setzero_ps();
+  for (std::int64_t i = 0; i < len; ++i) {
+    const __m256 a = load8<Masked>(phi_q + i * fm, mask);
+    const __m256 d = _mm256_set1_ps(dd[i * fm]);
+    const __m256 skip = _mm256_cmp_ps(a, _mm256_setzero_ps(), _CMP_EQ_OQ);
+    acc = _mm256_blendv_ps(_mm256_fmadd_ps(a, d, acc), acc, skip);
+    store8<Masked>(dphi_q + i * fm, mask, first_term(d, zv));
+  }
+  store8<Masked>(dz, mask, acc);
+}
+
+inline void attend_graph_bwd(const float* dy, std::int64_t dy_stride, const float* phi_q,
+                             const float* phi_k, const float* v, const float* kv, const float* z,
+                             const float* numer, const float* denom, std::int64_t len,
+                             std::int64_t dh, std::int64_t fm, float* dkv, float* dz,
+                             float* dphi_q, float* dphi_k, float* dv) {
+  const __m256i fm_tail = lane_mask(fm % 8);
+  const __m256 zero = _mm256_setzero_ps();
+  // block = div_colvec(numer, denom): dnumer = 0 + dy / y waits in dv's
+  // rows, and ddenom, the sum of ((-dy) * numer) / (y * y) over j ascending
+  // from +0.0, in dphi_k's first column; both are overwritten below.
+  for (std::int64_t i = 0; i < len; ++i) {
+    const float* dyi = dy + i * dy_stride;
+    float* dni = dv + i * dh;
+    const __m256 y = _mm256_set1_ps(denom[i]);
+    const __m256 yy = _mm256_set1_ps(denom[i] * denom[i]);
+    float dd = 0.0f;
+    alignas(32) float c[8];
+    for (std::int64_t j = 0; j < dh; j += 8) {
+      const __m256i mask = lane_mask(dh - j);
+      const __m256 dyv = _mm256_maskload_ps(dyi + j, mask);
+      _mm256_maskstore_ps(dni + j, mask, _mm256_add_ps(zero, _mm256_div_ps(dyv, y)));
+      const __m256 neg = _mm256_xor_ps(dyv, _mm256_set1_ps(-0.0f));
+      const __m256 x = _mm256_maskload_ps(numer + i * dh + j, mask);
+      _mm256_store_ps(c, _mm256_div_ps(_mm256_mul_ps(neg, x), yy));
+      for (std::int64_t l = 0; l < 8 && j + l < dh; ++l) dd += c[l];
+    }
+    dphi_k[i * fm] = dd;
+  }
+  // mm_d = matmul(phi_q, z) and numer = matmul(phi_q, kv): dz and dphi_q's
+  // z term, dkv = phi_q^T dnumer, then dphi_q += dnumer kv^T.
+  std::int64_t m = 0;
+  for (; m + 8 <= fm; m += 8)
+    dz_block<false>(phi_q + m, dphi_k, z + m, len, fm, fm_tail, dz + m, dphi_q + m);
+  if (m < fm) dz_block<true>(phi_q + m, dphi_k, z + m, len, fm, fm_tail, dz + m, dphi_q + m);
+  phi_t_matmul(phi_q, dv, len, dh, fm, dkv, nullptr);
+  panel_da<8>(dv, kv, dphi_q, fm, len, fm, dh);
+  // z = matmul(phi_k^T, ones) starts dphi_k^T at 0 + fma(dz, 1, +0.0);
+  // kv = matmul(phi_k^T, v) adds dkv v^T, here v dkv^T (an fma does not
+  // depend on the order of its factors). The transpose backward's 0 + into
+  // a zeroed dphi_k changes nothing: a sum whose first term, 0 + fma(dz, 1,
+  // +0.0), is never -0.0 is never -0.0 either.
+  const __m256 one = _mm256_set1_ps(1.0f);
+  for (std::int64_t i = 0; i < len; ++i) {
+    float* dpk = dphi_k + i * fm;
+    for (m = 0; m + 8 <= fm; m += 8)
+      _mm256_storeu_ps(dpk + m, first_term(_mm256_loadu_ps(dz + m), one));
+    if (m < fm)
+      _mm256_maskstore_ps(dpk + m, fm_tail, first_term(_mm256_maskload_ps(dz + m, fm_tail), one));
+  }
+  panel_da<8>(v, dkv, dphi_k, fm, len, fm, dh);
+  // kv = matmul(phi_k^T, v): dv = phi_k dkv, numer_chunk's sequence.
+  const __m256i dh_tail = lane_mask(dh % 8);
+  for (std::int64_t i = 0; i < len; ++i) {
+    const float* pk = phi_k + i * fm;
+    float* dvi = dv + i * dh;
+    std::int64_t j = 0;
+    for (; j + 8 <= dh; j += 8)
+      store8<false>(dvi + j, dh_tail,
+                    numer_chunk<false>(pk, dkv + j, nullptr, dh, fm, dh_tail, nullptr));
+    if (j < dh)
+      store8<true>(dvi + j, dh_tail,
+                   numer_chunk<true>(pk, dkv + j, nullptr, dh, fm, dh_tail, nullptr));
+  }
+}
+
+// The favor_fwd backward of R rows from row i (backend.hpp): d = dphi *
+// scale * e is written back over dphi, s sums -d over j ascending, and du
+// starts at 0 + (dsq * 2) * u. Eight rows sum as the lanes of one vector,
+// each 8 x 8 block of d transposed in registers; one row sums alone.
+template <int R>
+inline void favor_rows_bwd(float* dphi, const float* u, const float* e, std::int64_t i,
+                           std::int64_t dh, std::int64_t fm, __m256 scale, float* du) {
+  const __m256i fm_tail = lane_mask(fm % 8), dh_tail = lane_mask(dh % 8);
+  const __m256 zero = _mm256_setzero_ps();
+  float* d = dphi + i * fm;
+  for (int r = 0; r < R; ++r) {
+    float* dr = d + r * fm;
+    const float* er = e + (i + r) * fm;
+    std::int64_t j = 0;
+    for (; j + 8 <= fm; j += 8)
+      _mm256_storeu_ps(dr + j, mul_rn(_mm256_mul_ps(_mm256_loadu_ps(dr + j), scale),
+                                      _mm256_loadu_ps(er + j)));
+    if (j < fm)
+      _mm256_maskstore_ps(dr + j, fm_tail,
+                          mul_rn(_mm256_mul_ps(_mm256_maskload_ps(dr + j, fm_tail), scale),
+                                 _mm256_maskload_ps(er + j, fm_tail)));
+  }
+  alignas(32) float t[8];  // dsq * 2 per row
+  if constexpr (R == 8) {
+    __m256 sum = zero;
+    for (std::int64_t j = 0; j < fm; j += 8) {
+      const __m256i mask = lane_mask(fm - j);
+      __m256 c[8];
+      for (int r = 0; r < 8; ++r) c[r] = _mm256_maskload_ps(d + r * fm + j, mask);
+      transpose8(c);
+      for (std::int64_t l = 0; l < 8 && j + l < fm; ++l)
+        sum = _mm256_add_ps(sum, _mm256_xor_ps(c[l], _mm256_set1_ps(-0.0f)));
+    }
+    _mm256_store_ps(t, _mm256_mul_ps(_mm256_add_ps(zero, mul_rn(sum, _mm256_set1_ps(0.5f))),
+                                     _mm256_set1_ps(2.0f)));
+  } else {
+    for (int r = 0; r < R; ++r) {
+      float sum = 0.0f;
+      for (std::int64_t j = 0; j < fm; ++j) sum += -d[r * fm + j];
+      t[r] = (0.0f + mul_rn(sum, 0.5f)) * 2.0f;
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    const __m256 tr = _mm256_set1_ps(t[r]);
+    const float* ur = u + (i + r) * dh;
+    float* dur = du + (i + r) * dh;
+    std::int64_t p = 0;
+    for (; p + 8 <= dh; p += 8)
+      _mm256_storeu_ps(dur + p, _mm256_add_ps(zero, mul_rn(tr, _mm256_loadu_ps(ur + p))));
+    if (p < dh)
+      _mm256_maskstore_ps(dur + p, dh_tail,
+                          _mm256_add_ps(zero, mul_rn(tr, _mm256_maskload_ps(ur + p, dh_tail))));
   }
 }
 
@@ -678,6 +866,38 @@ class Avx2Backend final : public KernelBackend {
         attend_graph(phi_q + s * fm, phi_k + s * fm, v + s * dh, len, dh, fm, kv + g * fm * dh,
                      z + g * fm, numer + s * dh, denom + s, out + s * out_stride, out_stride);
       }
+    });
+  }
+
+  void performer_attend_bwd(const float* dy, std::int64_t dy_stride, const float* phi_q,
+                            const float* phi_k, const float* v, const float* kv, const float* z,
+                            const float* numer, const float* denom,
+                            const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
+                            std::int64_t fm, float* dkv, float* dz, float* dphi_q, float* dphi_k,
+                            float* dv) const override {
+    par::parallel_for(0, graphs, attend_grain(graph_ptr, graphs, dh, fm),
+                      [&](std::int64_t g0, std::int64_t g1) {
+      for (std::int64_t g = g0; g < g1; ++g) {
+        const std::int64_t s = graph_ptr[g], len = graph_ptr[g + 1] - s;
+        if (len == 0) continue;
+        attend_graph_bwd(dy + s * dy_stride, dy_stride, phi_q + s * fm, phi_k + s * fm, v + s * dh,
+                         kv + g * fm * dh, z + g * fm, numer + s * dh, denom + s, len, dh, fm,
+                         dkv + g * fm * dh, dz + g * fm, dphi_q + s * fm, dphi_k + s * fm,
+                         dv + s * dh);
+      }
+    });
+  }
+
+  void favor_bwd(float* dphi, const float* u, const float* e, const float* omega,
+                 std::int64_t rows, std::int64_t dh, std::int64_t fm, float scale,
+                 float* du) const override {
+    const __m256 vscale = _mm256_set1_ps(scale);
+    par::parallel_for(0, rows, par::grain_for(2 * fm * dh), [&](std::int64_t i0, std::int64_t i1) {
+      std::int64_t i = i0;
+      for (; i + 8 <= i1; i += 8) favor_rows_bwd<8>(dphi, u, e, i, dh, fm, vscale, du);
+      for (; i < i1; ++i) favor_rows_bwd<1>(dphi, u, e, i, dh, fm, vscale, du);
+      // proj = matmul(u, omega): du += d omega^T.
+      panel_da<8>(dphi + i0 * fm, omega, du + i0 * dh, dh, i1 - i0, dh, fm);
     });
   }
 };

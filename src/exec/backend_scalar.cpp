@@ -159,6 +159,100 @@ class ScalarBackend final : public KernelBackend {
     });
   }
 
+  void performer_attend_bwd(const float* dy, std::int64_t dy_stride, const float* phi_q,
+                            const float* phi_k, const float* v, const float* kv, const float* z,
+                            const float* numer, const float* denom,
+                            const std::int64_t* graph_ptr, std::int64_t graphs, std::int64_t dh,
+                            std::int64_t fm, float* dkv, float* dz, float* dphi_q, float* dphi_k,
+                            float* dv) const override {
+    // The per-graph calls' loops, each into its zeroed buffer: every
+    // "0.0f +" below is such a first add. x * 1 is x, and 0 + (0 + x) is
+    // 0 + x, so the ones-vector matmuls reduce to one "0 +".
+    par::parallel_for(0, graphs, attend_grain(graph_ptr, graphs, dh, fm),
+                      [&](std::int64_t g0, std::int64_t g1) {
+      for (std::int64_t g = g0; g < g1; ++g) {
+        const std::int64_t s = graph_ptr[g], e = graph_ptr[g + 1];
+        if (e == s) continue;
+        const float* kvg = kv + g * fm * dh;
+        const float* zg = z + g * fm;
+        float* dkvg = dkv + g * fm * dh;
+        float* dzg = dz + g * fm;
+        std::fill_n(dkvg, fm * dh, 0.0f);
+        std::fill_n(dzg, fm, 0.0f);
+        for (std::int64_t i = s; i < e; ++i) {
+          // block = div_colvec(numer, denom). dnumer's row waits in dv's
+          // row, which the second pass overwrites.
+          float* dni = dv + i * dh;
+          float dd = 0.0f;
+          for (std::int64_t j = 0; j < dh; ++j) {
+            float da = 0.0f, dc = 0.0f;
+            kern::div1_bwd(numer[i * dh + j], denom[i], dy[i * dy_stride + j], da, dc);
+            dni[j] = 0.0f + da;
+            dd += dc;
+          }
+          // mm_d = matmul(phi_q, z), numer = matmul(phi_q, kv): this row's
+          // terms of dz and dkv (kern::matmul_db, rows ascending), then its
+          // dphi_q (kern::matmul_da, the z term first).
+          const float* pq = phi_q + i * fm;
+          for (std::int64_t m = 0; m < fm; ++m) {
+            const float a = pq[m];
+            if (a == 0.0f) continue;
+            dzg[m] += a * dd;
+            for (std::int64_t j = 0; j < dh; ++j) dkvg[m * dh + j] += a * dni[j];
+          }
+          for (std::int64_t m = 0; m < fm; ++m) {
+            float acc = 0.0f;
+            for (std::int64_t j = 0; j < dh; ++j) acc += dni[j] * kvg[m * dh + j];
+            dphi_q[i * fm + m] = (0.0f + dd * zg[m]) + acc;
+          }
+        }
+        // z = matmul(phi_k^T, ones), kv = matmul(phi_k^T, v), phi_k^T =
+        // transpose(phi_k): dphi_k, then dv over m ascending.
+        for (std::int64_t i = s; i < e; ++i) {
+          const float* vi = v + i * dh;
+          for (std::int64_t m = 0; m < fm; ++m) {
+            float acc = 0.0f;
+            for (std::int64_t j = 0; j < dh; ++j) acc += dkvg[m * dh + j] * vi[j];
+            dphi_k[i * fm + m] = 0.0f + ((0.0f + dzg[m]) + acc);
+          }
+          float* dvi = dv + i * dh;
+          std::fill_n(dvi, dh, 0.0f);
+          for (std::int64_t m = 0; m < fm; ++m) {
+            const float a = phi_k[i * fm + m];
+            if (a == 0.0f) continue;
+            for (std::int64_t j = 0; j < dh; ++j) dvi[j] += a * dkvg[m * dh + j];
+          }
+        }
+      }
+    });
+  }
+
+  void favor_bwd(float* dphi, const float* u, const float* e, const float* omega,
+                 std::int64_t rows, std::int64_t dh, std::int64_t fm, float scale,
+                 float* du) const override {
+    // The eager closures phi = e * scale, e = exp(shifted), shifted =
+    // sub_colvec(proj, sumsq), sumsq = rs * 0.5, rs = row_sum(sq), sq =
+    // square(u), proj = matmul(u, omega), one row at a time, du zeroed.
+    par::parallel_for(0, rows, par::grain_for(2 * fm * dh), [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        float* d = dphi + i * fm;
+        float sum = 0.0f;
+        for (std::int64_t j = 0; j < fm; ++j) {
+          d[j] = d[j] * scale * e[i * fm + j];
+          sum += -d[j];
+        }
+        const float dsq = 0.0f + sum * 0.5f;
+        const float* ui = u + i * dh;
+        float* dui = du + i * dh;
+        for (std::int64_t p = 0; p < dh; ++p) {
+          float acc = 0.0f;
+          for (std::int64_t j = 0; j < fm; ++j) acc += d[j] * omega[p * fm + j];
+          dui[p] = (0.0f + dsq * 2.0f * ui[p]) + acc;
+        }
+      }
+    });
+  }
+
  private:
   // One output row of X W, the exact kern::matmul_fwd inner loop (zero, then
   // ikj axpy with zero-skip on the A element).

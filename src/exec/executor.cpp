@@ -110,11 +110,11 @@ std::int64_t Executor::aux_floats(int id) {
       L.q = take(H * N * dh);
       L.k = take(H * N * dh);
       L.v = take(H * N * dh);
-      L.ndh_a = take(N * dh);
-      L.ndh_q = take(N * dh);
-      L.ndh_k = take(N * dh);
-      L.ndh_v = take(N * dh);
       if (d.op == Op::kMultihead) {
+        L.ndh_a = take(N * dh);
+        L.ndh_q = take(N * dh);
+        L.ndh_k = take(N * dh);
+        L.ndh_v = take(N * dh);
         L.attn = take(H * sum_len2_);
         L.ll_a = take(Lmax * Lmax);
         L.ll_b = take(Lmax * Lmax);
@@ -129,18 +129,16 @@ std::int64_t Executor::aux_floats(int id) {
         L.denom = take(H * N);
         L.kv = take(H * B * fm * dh);
         L.z = take(H * B * fm);
-        L.ndh_m = take(N * dh);
-        L.lm_a = take(Lmax * fm);
-        L.lm_b = take(Lmax * fm);
-        L.ldh_a = take(Lmax * dh);
-        L.ldh_b = take(Lmax * dh);
-        L.ml_a = take(fm * Lmax);
-        L.ml_b = take(fm * Lmax);
-        L.mdh = take(fm * dh);
-        L.l_a = take(Lmax);
-        L.l_b = take(Lmax);
-        L.l_ones = take(Lmax);
-        L.m_a = take(fm);
+        if (plan_.node_bwd_step[static_cast<std::size_t>(id)] >= 0) {  // backward scratch
+          L.ndh_q = take(N * dh);
+          L.ndh_k = take(N * dh);
+          L.ndh_v = take(N * dh);
+          L.ndh_m = take(N * dh);
+          L.dphi_q = take(N * fm);
+          L.dphi_k = take(N * fm);
+          L.dkv = take(B * fm * dh);
+          L.dz = take(B * fm);
+        }
       }
       L.total = off;
       return off;
@@ -236,7 +234,7 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
       requests_.push_back({d.cols * 3 * d.heads * d.head_dim, a.def, a.def});
     }
   }
-  const std::vector<std::int64_t> offsets = arena_.bind(requests_);
+  const std::vector<std::int64_t>& offsets = arena_.bind(requests_);
   float* base = arena_.base();
   std::size_t r = 0;
   for (std::size_t id = 0; id < n; ++id) {
@@ -884,155 +882,47 @@ void Executor::bwd_performer(int id) {
   float* base = aux_[static_cast<std::size_t>(id)];
   const float s_qk = 1.0f / std::pow(static_cast<float>(dh), 0.25f);
   const float inv_sqrt_m = 1.0f / std::sqrt(static_cast<float>(fm));
-  std::int64_t g0 = -1;
-  for (std::int64_t g = 0; g < g_ && g0 < 0; ++g)
-    if (batch_->graph_ptr[static_cast<std::size_t>(g) + 1] >
-        batch_->graph_ptr[static_cast<std::size_t>(g)])
-      g0 = g;
-
-  // Backward of phi = exp(u omega - ||u||^2/2)/sqrt(m) for one block, given
-  // dphi accumulated in `dphi` (len x m, morphed in place) and du aliased
-  // into the full per-head accumulator at `du`. Mirrors the eager closure
-  // chain [phi(scale), e(exp), shifted(sub_colvec), sumsq(scale),
-  // rs(row_sum), sq(square), proj(matmul)] in exact order.
-  const auto favor_bwd = [&](float* dphi, const float* u, const float* e_save,
-                             const float* omega, std::int64_t len, float* du) {
-    par::parallel_for(0, len * fm, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) dphi[i] *= inv_sqrt_m;  // phi = e / sqrt(m)
-    });
-    par::parallel_for(0, len * fm, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) dphi[i] *= e_save[i];  // e = exp(shifted)
-    });
-    // shifted = sub_colvec(proj, sumsq): dproj is dphi unchanged, the column
-    // side accumulates -dy serially per row (the eager loop order).
-    float* dsumsq = base + L.l_a;
-    std::fill(dsumsq, dsumsq + len, 0.0f);
-    par::parallel_for(0, len, par::grain_for(fm), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i)
-        for (std::int64_t j = 0; j < fm; ++j) dsumsq[i] += -dphi[i * fm + j];
-    });
-    par::parallel_for(0, len, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) dsumsq[i] *= 0.5f;  // sumsq = rs * 0.5
-    });
-    float* dsq = base + L.ldh_a;
-    std::fill(dsq, dsq + len * dh, 0.0f);
-    kern::row_sum_bwd(dsumsq, dsq, len, dh);
-    // sq = square(u) fires before the proj matmul in the eager tape.
-    par::parallel_for(0, len * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) du[i] += dsq[i] * 2.0f * u[i];
-    });
-    backend_->matmul_da(dphi, omega, du, len, dh, fm);  // proj = matmul(u, omega)
+  float* dq = base + L.ndh_q;
+  float* dk = base + L.ndh_k;
+  float* dv = base + L.ndh_v;
+  float* dphi_q = base + L.dphi_q;
+  float* dphi_k = base + L.dphi_k;
+  // One projection's closures: dx, then dW. q and k go through the
+  // 1/dh^0.25 scale first.
+  const auto fire = [&](const float* dacc, Tensor& w, bool scaled) {
+    const float* dmm = dacc;
+    if (scaled) {
+      float* out = base + L.ndh_m;
+      par::parallel_for(0, N * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) out[i] = dacc[i] * s_qk;
+      });
+      dmm = out;
+    }
+    if (x_rg) backend_->matmul_da(dmm, w.data().data(), dx, N, dim, dh);
+    if (w.requires_grad()) backend_->matmul_db(dmm, x, w.grad().data(), N, dim, dh);
   };
 
+  // Heads fire in descending order and each fires v, k, q, so dx takes the
+  // eager tape's order. The attend reads the head's dh-wide column block of
+  // the merged gradient in place, where eager copied it into a zeroed dhead:
+  // that copy's 0 + only turns -0.0 into +0.0, and a zero's sign there
+  // reaches no output (dnumer is 0 + dy / denom, ddenom a sum from +0.0).
+  // The FAVOR+ backwards run over all N rows, which is row-wise, so each
+  // graph's rows get the bits of a per-graph pass.
   for (std::int64_t h = H - 1; h >= 0; --h) {
-    Tensor& wq = d.mh_w[static_cast<std::size_t>(3 * h)];
-    Tensor& wk = d.mh_w[static_cast<std::size_t>(3 * h + 1)];
-    Tensor& wv = d.mh_w[static_cast<std::size_t>(3 * h + 2)];
     const float* omega = d.mh_omega[static_cast<std::size_t>(h)].data().data();
-    const float* q = base + L.q + h * N * dh;
-    const float* k = base + L.k + h * N * dh;
-    const float* v = base + L.v + h * N * dh;
-    float* dhead = base + L.ndh_a;
-    if (H == 1) {
-      dhead = const_cast<float*>(dmerged);
-    } else {
-      std::fill(dhead, dhead + N * dh, 0.0f);
-      kern::concat_cols_bwd_part(dmerged, dhead, N, dh, dim, h * dh);
-    }
-    float* dq = base + L.ndh_q;
-    float* dk = base + L.ndh_k;
-    float* dv = base + L.ndh_v;
-    std::fill(dq, dq + N * dh, 0.0f);
-    std::fill(dk, dk + N * dh, 0.0f);
-    std::fill(dv, dv + N * dh, 0.0f);
-    bool fired = false;
-    const auto fire_v = [&] {
-      if (x_rg) backend_->matmul_da(dv, wv.data().data(), dx, N, dim, dh);
-      if (wv.requires_grad()) backend_->matmul_db(dv, x, wv.grad().data(), N, dim, dh);
-    };
-    // q and k go through the 1/dh^0.25 scale before their matmul closures.
-    const auto fire_scaled = [&](const float* dacc, Tensor& w) {
-      float* dmm = base + L.ndh_m;
-      par::parallel_for(0, N * dh, par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) dmm[i] = dacc[i] * s_qk;
-      });
-      if (x_rg) backend_->matmul_da(dmm, w.data().data(), dx, N, dim, dh);
-      if (w.requires_grad()) backend_->matmul_db(dmm, x, w.grad().data(), N, dim, dh);
-    };
-    for (std::int64_t g = g_ - 1; g >= 0; --g) {
-      const std::int64_t s = batch_->graph_ptr[static_cast<std::size_t>(g)];
-      const std::int64_t len = batch_->graph_ptr[static_cast<std::size_t>(g) + 1] - s;
-      if (len == 0) continue;
-      const float* dblock = dhead + s * dh;
-      const float* numer = base + L.numer + h * N * dh + s * dh;
-      const float* denom = base + L.denom + h * N + s;
-      const float* phi_q = base + L.phi_q + h * N * fm + s * fm;
-      const float* phi_k = base + L.phi_k + h * N * fm + s * fm;
-      const float* kv = base + L.kv + (h * g_ + g) * fm * dh;
-      const float* z = base + L.z + (h * g_ + g) * fm;
-      // block = div_colvec(numer, denom)
-      float* dnumer = base + L.ldh_b;
-      float* ddenom = base + L.l_b;
-      std::fill(dnumer, dnumer + len * dh, 0.0f);
-      std::fill(ddenom, ddenom + len, 0.0f);
-      par::parallel_for(0, len, par::grain_for(dh), [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float cv = denom[i];
-          for (std::int64_t j = 0; j < dh; ++j) {
-            float da = 0.0f;
-            float dc = 0.0f;
-            kern::div1_bwd(numer[i * dh + j], cv, dblock[i * dh + j], da, dc);
-            dnumer[i * dh + j] += da;
-            ddenom[i] += dc;
-          }
-        }
-      });
-      // denom = add_scalar(mm_d, 1e-6): pure passthrough, alias the buffer.
-      const float* dmmd = ddenom;
-      // mm_d = matmul(phi_q, z)
-      float* dphi_q = base + L.lm_a;
-      std::fill(dphi_q, dphi_q + len * fm, 0.0f);
-      backend_->matmul_da(dmmd, z, dphi_q, len, fm, 1);
-      float* dz = base + L.m_a;
-      std::fill(dz, dz + fm, 0.0f);
-      backend_->matmul_db(dmmd, phi_q, dz, len, fm, 1);
-      // z = matmul(phi_k_t, ones)
-      float* ones = base + L.l_ones;
-      std::fill(ones, ones + len, 1.0f);
-      float* dphikt = base + L.ml_b;
-      std::fill(dphikt, dphikt + fm * len, 0.0f);
-      backend_->matmul_da(dz, ones, dphikt, fm, len, 1);
-      // numer = matmul(phi_q, kv)
-      backend_->matmul_da(dnumer, kv, dphi_q, len, fm, dh);
-      float* dkv = base + L.mdh;
-      std::fill(dkv, dkv + fm * dh, 0.0f);
-      backend_->matmul_db(dnumer, phi_q, dkv, len, fm, dh);
-      // kv = matmul(phi_k_t, vg); phi_k_t is a bitwise value copy — recompute.
-      float* phikt = base + L.ml_a;
-      kern::transpose_fwd(phi_k, phikt, len, fm);
-      backend_->matmul_da(dkv, v + s * dh, dphikt, fm, len, dh);
-      backend_->matmul_db(dkv, phikt, dv + s * dh, fm, len, dh);
-      if (g == g0) fire_v();
-      // phi_k_t = transpose(phi_k)
-      float* dphi = base + L.lm_b;
-      std::fill(dphi, dphi + len * fm, 0.0f);
-      kern::transpose_bwd(dphikt, dphi, len, fm);
-      favor_bwd(dphi, k + s * dh, base + L.e_k + h * N * fm + s * fm, omega, len, dk + s * dh);
-      if (g == g0) {
-        fire_scaled(dk, wk);
-      }
-      favor_bwd(dphi_q, q + s * dh, base + L.e_q + h * N * fm + s * fm, omega, len,
-                dq + s * dh);
-      if (g == g0) {
-        fire_scaled(dq, wq);
-        fired = true;
-      }
-    }
-    if (!fired) {
-      fire_v();
-      fire_scaled(dk, wk);
-      fire_scaled(dq, wq);
-    }
+    backend_->performer_attend_bwd(
+        dmerged + h * dh, dim, base + L.phi_q + h * N * fm, base + L.phi_k + h * N * fm,
+        base + L.v + h * N * dh, base + L.kv + h * g_ * fm * dh, base + L.z + h * g_ * fm,
+        base + L.numer + h * N * dh, base + L.denom + h * N, batch_->graph_ptr.data(), g_, dh, fm,
+        base + L.dkv, base + L.dz, dphi_q, dphi_k, dv);
+    fire(dv, d.mh_w[static_cast<std::size_t>(3 * h + 2)], false);
+    backend_->favor_bwd(dphi_k, base + L.k + h * N * dh, base + L.e_k + h * N * fm, omega, N, dh,
+                        fm, inv_sqrt_m, dk);
+    fire(dk, d.mh_w[static_cast<std::size_t>(3 * h + 1)], true);
+    backend_->favor_bwd(dphi_q, base + L.q + h * N * dh, base + L.e_q + h * N * fm, omega, N, dh,
+                        fm, inv_sqrt_m, dq);
+    fire(dq, d.mh_w[static_cast<std::size_t>(3 * h)], true);
   }
 }
 

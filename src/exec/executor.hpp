@@ -48,10 +48,9 @@ class Executor {
   // Byte layout (in floats, relative to the node's aux block) of one mega
   // attention node: saved-for-backward tensors plus the scratch slots shared
   // across heads and blocks. Sized per bind. The Performer forward writes
-  // only saves (qkv_fwd and performer_attend_fwd); its scratch slots,
-  // ndh_a, ml_a and l_ones included, serve bwd_performer. The packed q/k/v
-  // weights are not here: they are their own arena slot (wpack_), live for
-  // the forward step only.
+  // only saves (qkv_fwd and performer_attend_fwd); its scratch slots serve
+  // bwd_performer. The packed q/k/v weights are not here: they are their
+  // own arena slot (wpack_), live for the forward step only.
   struct MegaLayout {
     // Saves, per head (x heads).
     std::int64_t q = 0, k = 0, v = 0;                      // N*dh each
@@ -59,18 +58,15 @@ class Executor {
     std::int64_t e_q = 0, e_k = 0, phi_q = 0, phi_k = 0;   // performer: N*m
     std::int64_t numer = 0, denom = 0;                     // performer: N*dh / N
     std::int64_t kv = 0, z = 0;                            // performer: B*m*dh / B*m
-    // Scratch slots, single instance.
-    std::int64_t ndh_a = 0;                          // head_out (multihead fwd) / dhead (bwd)
-    std::int64_t ndh_q = 0, ndh_k = 0, ndh_v = 0;    // dq/dk/dv accumulators
+    // Scratch slots, single instance; the Performer's exist only when the
+    // plan runs its backward.
+    std::int64_t ndh_a = 0;                          // multihead head_out (fwd) / dhead (bwd)
+    std::int64_t ndh_q = 0, ndh_k = 0, ndh_v = 0;    // dq/dk/dv
     std::int64_t ndh_m = 0;                          // performer dq_mm/dk_mm
     std::int64_t ll_a = 0, ll_b = 0;                 // multihead maxlen^2
     std::int64_t dhl_a = 0, dhl_b = 0;               // multihead dh*maxlen
-    std::int64_t lm_a = 0, lm_b = 0;                 // performer maxlen*m
-    std::int64_t ldh_a = 0, ldh_b = 0;               // performer maxlen*dh
-    std::int64_t ml_a = 0, ml_b = 0;                 // performer m*maxlen (bwd)
-    std::int64_t mdh = 0;                            // performer m*dh
-    std::int64_t l_a = 0, l_b = 0, l_ones = 0;       // performer maxlen (bwd)
-    std::int64_t m_a = 0;                            // performer m
+    std::int64_t dphi_q = 0, dphi_k = 0;             // performer N*m
+    std::int64_t dkv = 0, dz = 0;                    // performer per-graph B*m*dh / B*m
     std::int64_t total = 0;
   };
 

@@ -498,10 +498,10 @@ inline void softmax_bwd(const float* sv, const float* dyv, float* dx, std::int64
 
 // ---------------------------------------------------------- regularization --
 
-// Serial mask fill: the Rng stream must be consumed in element order.
+// Serial mask fill: the Rng stream must be consumed in element order. Each
+// element is rng.bernoulli(p) ? 0 : 1 / (1 - p), one draw each.
 inline void dropout_mask(Rng& rng, float p, float* mask, std::int64_t count) {
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (std::int64_t i = 0; i < count; ++i) mask[i] = rng.bernoulli(p) ? 0.0f : keep_scale;
+  rng.fill_bernoulli_mask(p, 1.0f / (1.0f - p), mask, count);
 }
 
 inline void dropout_fwd(const float* xv, const float* mask, float* ov, std::int64_t count) {
@@ -585,20 +585,32 @@ inline void bn_fwd_one_pass(const float* xv, const float* mean, const float* inv
   });
 }
 
+// The BatchNorm backward's column sums walk rows: inside each column chunk,
+// blocks of at most kBnColumnBlock columns keep one accumulator per column
+// across the rows, so each column still sums over i ascending.
+constexpr std::int64_t kBnColumnBlock = 16;
+
 // dgamma / dbeta: column-parallel, i-ascending per column. Either target may
 // be null (not requiring grad); both sums are still formed, matching eager.
 inline void bn_bwd_params(const float* dy, const float* xhat, std::int64_t rows,
                           std::int64_t cols, float* dgamma, float* dbeta) {
   par::parallel_for(0, cols, par::grain_for(2 * rows), [&](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t j = j0; j < j1; ++j) {
-      float dg = 0.0f;
-      float db = 0.0f;
+    for (std::int64_t jb = j0; jb < j1; jb += kBnColumnBlock) {
+      const std::int64_t w = std::min(kBnColumnBlock, j1 - jb);
+      float dg[kBnColumnBlock] = {};
+      float db[kBnColumnBlock] = {};
       for (std::int64_t i = 0; i < rows; ++i) {
-        dg += dy[i * cols + j] * xhat[i * cols + j];
-        db += dy[i * cols + j];
+        const float* d = dy + i * cols + jb;
+        const float* x = xhat + i * cols + jb;
+        for (std::int64_t c = 0; c < w; ++c) {
+          dg[c] += d[c] * x[c];
+          db[c] += d[c];
+        }
       }
-      if (dgamma != nullptr) dgamma[j] += dg;
-      if (dbeta != nullptr) dbeta[j] += db;
+      for (std::int64_t c = 0; c < w; ++c) {
+        if (dgamma != nullptr) dgamma[jb + c] += dg[c];
+        if (dbeta != nullptr) dbeta[jb + c] += db[c];
+      }
     }
   });
 }
@@ -614,23 +626,35 @@ inline void bn_bwd_dx_eval(const float* dy, const float* gv, const float* invstd
 }
 
 // Training-mode dX: full backward through the batch statistics; per-column
-// reductions are independent, so columns partition cleanly.
+// reductions are independent, so columns partition cleanly. Rows walk as in
+// bn_bwd_params.
 inline void bn_bwd_dx_train(const float* dy, const float* gv, const float* invstd,
                             const float* xhat, float* dx, std::int64_t rows, std::int64_t cols) {
   const float inv_m = 1.0f / static_cast<float>(rows);
   par::parallel_for(0, cols, par::grain_for(4 * rows), [&](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t j = j0; j < j1; ++j) {
-      float sum_dxhat = 0.0f;
-      float sum_dxhat_xhat = 0.0f;
+    for (std::int64_t jb = j0; jb < j1; jb += kBnColumnBlock) {
+      const std::int64_t w = std::min(kBnColumnBlock, j1 - jb);
+      const float* g = gv + jb;
+      float sum_dxhat[kBnColumnBlock] = {};
+      float sum_dxhat_xhat[kBnColumnBlock] = {};
       for (std::int64_t i = 0; i < rows; ++i) {
-        const float dxhat = dy[i * cols + j] * gv[j];
-        sum_dxhat += dxhat;
-        sum_dxhat_xhat += dxhat * xhat[i * cols + j];
+        const float* d = dy + i * cols + jb;
+        const float* x = xhat + i * cols + jb;
+        for (std::int64_t c = 0; c < w; ++c) {
+          const float dxhat = d[c] * g[c];
+          sum_dxhat[c] += dxhat;
+          sum_dxhat_xhat[c] += dxhat * x[c];
+        }
       }
       for (std::int64_t i = 0; i < rows; ++i) {
-        const float dxhat = dy[i * cols + j] * gv[j];
-        dx[i * cols + j] +=
-            invstd[j] * (dxhat - inv_m * sum_dxhat - xhat[i * cols + j] * inv_m * sum_dxhat_xhat);
+        const float* d = dy + i * cols + jb;
+        const float* x = xhat + i * cols + jb;
+        float* o = dx + i * cols + jb;
+        for (std::int64_t c = 0; c < w; ++c) {
+          const float dxhat = d[c] * g[c];
+          o[c] += invstd[jb + c] *
+                  (dxhat - inv_m * sum_dxhat[c] - x[c] * inv_m * sum_dxhat_xhat[c]);
+        }
       }
     }
   });

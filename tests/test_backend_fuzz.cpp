@@ -5,10 +5,12 @@
 // and backward, must also match, bit for bit, an in-test reference of their
 // per-element sequence. The exp kernels (favor_fwd, gate_chain_fwd), whose
 // AVX2 exp is a port of glibc's expf, must match bitwise too, and so must the
-// Performer's wide kernels (qkv_fwd, performer_attend_fwd) match the calls
-// they replace, on each backend.
+// Performer's wide kernels (qkv_fwd, performer_attend_fwd and the backward's
+// performer_attend_bwd and favor_bwd) match the calls they replace, on each
+// backend.
 #include "exec/backend.hpp"
 #include "tensor/kernels.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
@@ -17,6 +19,8 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace cgps {
@@ -79,38 +83,48 @@ std::vector<float> reference_fwd(const std::vector<float>& a, const std::vector<
 // taking std::fma over the columns j = 8c + l of the full 8-column chunks,
 // the lanes summed ((v0+v4)+(v2+v6))+((v1+v5)+(v3+v7)), then std::fma over
 // the cols % 8 tail, then one add into dA.
-std::vector<float> reference_da(const std::vector<float>& dc, const std::vector<float>& b,
-                                std::vector<float> da, std::int64_t rows, std::int64_t inner,
-                                std::int64_t cols) {
+void reference_da_into(const float* dc, const float* b, float* da, std::int64_t rows,
+                       std::int64_t inner, std::int64_t cols) {
   const std::int64_t full = cols - cols % 8;
   for (std::int64_t i = 0; i < rows; ++i) {
-    const float* dci = dc.data() + i * cols;
+    const float* dci = dc + i * cols;
     for (std::int64_t p = 0; p < inner; ++p) {
-      const float* bp = b.data() + p * cols;
+      const float* bp = b + p * cols;
       float v[8] = {};
       for (std::int64_t j = 0; j < full; ++j) v[j % 8] = std::fma(dci[j], bp[j], v[j % 8]);
       float s = ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
       for (std::int64_t j = full; j < cols; ++j) s = std::fma(dci[j], bp[j], s);
-      da[static_cast<std::size_t>(i * inner + p)] += s;
+      da[i * inner + p] += s;
     }
   }
+}
+
+std::vector<float> reference_da(const std::vector<float>& dc, const std::vector<float>& b,
+                                std::vector<float> da, std::int64_t rows, std::int64_t inner,
+                                std::int64_t cols) {
+  reference_da_into(dc.data(), b.data(), da.data(), rows, inner, cols);
   return da;
 }
 
 // The AVX2 dB order, one element at a time: from its current value,
 // std::fma over i ascending, skipping a[i,p] == 0.
-std::vector<float> reference_db(const std::vector<float>& dc, const std::vector<float>& a,
-                                std::vector<float> db, std::int64_t rows, std::int64_t inner,
-                                std::int64_t cols) {
+void reference_db_into(const float* dc, const float* a, float* db, std::int64_t rows,
+                       std::int64_t inner, std::int64_t cols) {
   for (std::int64_t p = 0; p < inner; ++p) {
     for (std::int64_t j = 0; j < cols; ++j) {
-      float& acc = db[static_cast<std::size_t>(p * cols + j)];
+      float& acc = db[p * cols + j];
       for (std::int64_t i = 0; i < rows; ++i) {
-        const float aip = a[static_cast<std::size_t>(i * inner + p)];
-        if (aip != 0.0f) acc = std::fma(aip, dc[static_cast<std::size_t>(i * cols + j)], acc);
+        const float aip = a[i * inner + p];
+        if (aip != 0.0f) acc = std::fma(aip, dc[i * cols + j], acc);
       }
     }
   }
+}
+
+std::vector<float> reference_db(const std::vector<float>& dc, const std::vector<float>& a,
+                                std::vector<float> db, std::int64_t rows, std::int64_t inner,
+                                std::int64_t cols) {
+  reference_db_into(dc.data(), a.data(), db.data(), rows, inner, cols);
   return db;
 }
 
@@ -482,6 +496,293 @@ TEST(BackendFuzz, PerformerAttendSkipsZerosOnNegativeZeroAccumulator) {
         expect_bitwise(want, got, "performer_attend_fwd saves dh/fm", 0, dh, fm);
         expect_bitwise(want_out, got_out, "performer_attend_fwd out dh/fm", 0, dh, fm);
       }
+    }
+  }
+}
+
+// The Performer backward's two kernels against the per-graph sequence they
+// replace: for performer_attend_bwd, the div_colvec backward into zeroed
+// dnumer and ddenom, eight matmul grads, the transpose and the ones vector;
+// for favor_bwd, the closures phi = e * scale back to proj = u omega. Each
+// sequence runs on a pair of matmul grads: a backend's own kernels, or for
+// AVX2 also the in-test references of their per-element sequences above.
+// The elementwise steps run in this TU, built without FMA like the executor.
+
+std::size_t count_of(std::int64_t count) { return static_cast<std::size_t>(count); }
+
+using MatmulGrad = void (*)(const exec::KernelBackend*, const float*, const float*, float*,
+                            std::int64_t, std::int64_t, std::int64_t);
+
+struct MatmulGrads {
+  const char* name;
+  const exec::KernelBackend* be;  // null: the in-test AVX2 references
+  MatmulGrad da, db;
+};
+
+void backend_da(const exec::KernelBackend* be, const float* dc, const float* b, float* da,
+                std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  be->matmul_da(dc, b, da, rows, inner, cols);
+}
+void backend_db(const exec::KernelBackend* be, const float* dc, const float* a, float* db,
+                std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  be->matmul_db(dc, a, db, rows, inner, cols);
+}
+void avx2_reference_da(const exec::KernelBackend*, const float* dc, const float* b, float* da,
+                       std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  reference_da_into(dc, b, da, rows, inner, cols);
+}
+void avx2_reference_db(const exec::KernelBackend*, const float* dc, const float* a, float* db,
+                       std::int64_t rows, std::int64_t inner, std::int64_t cols) {
+  reference_db_into(dc, a, db, rows, inner, cols);
+}
+
+// Each backend with the references its new kernels must equal.
+std::vector<std::pair<const exec::KernelBackend*, std::vector<MatmulGrads>>> backward_cases() {
+  std::vector<std::pair<const exec::KernelBackend*, std::vector<MatmulGrads>>> out;
+  const exec::KernelBackend* scalar = &exec::scalar_backend();
+  out.push_back({scalar, {{"scalar calls", scalar, backend_da, backend_db}}});
+  if (const exec::KernelBackend* avx2 = exec::avx2_backend())
+    out.push_back({avx2,
+                   {{"avx2 calls", avx2, backend_da, backend_db},
+                    {"avx2 reference", nullptr, avx2_reference_da, avx2_reference_db}}});
+  return out;
+}
+
+// (dh, fm): every pair of {1, 4, 8, 12} x {1, 8, 12, 16, 33}, and 24 x 48,
+// whose kv takes more than the 1024 floats the AVX2 backward transposes on
+// its stack.
+std::vector<std::pair<std::int64_t, std::int64_t>> backward_shapes() {
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  for (const std::int64_t dh : {1, 4, 8, 12})
+    for (const std::int64_t fm : {1, 8, 12, 16, 33}) out.emplace_back(dh, fm);
+  out.emplace_back(24, 48);
+  return out;
+}
+
+struct AttendBwdIo {
+  std::vector<float> dkv, dz, dphi_q, dphi_k, dv;
+};
+
+// The per-graph sequence of the Performer attend backward of one head.
+// Graphs run in descending order, as the executor's loop did.
+void reference_attend_bwd(const MatmulGrads& mm, const float* dy, std::int64_t dy_stride,
+                          const float* phi_q, const float* phi_k, const float* v, const float* kv,
+                          const float* z, const float* numer, const float* denom,
+                          const std::vector<std::int64_t>& graph_ptr, std::int64_t dh,
+                          std::int64_t fm, AttendBwdIo& io) {
+  const auto graphs = static_cast<std::int64_t>(graph_ptr.size()) - 1;
+  const auto zeroed = [](std::int64_t n) {
+    return std::vector<float>(static_cast<std::size_t>(n));
+  };
+  for (std::int64_t g = graphs - 1; g >= 0; --g) {
+    const std::int64_t s = graph_ptr[static_cast<std::size_t>(g)];
+    const std::int64_t len = graph_ptr[static_cast<std::size_t>(g) + 1] - s;
+    if (len == 0) continue;
+    // dhead: the head's column block copied into a zeroed buffer.
+    std::vector<float> dblock = zeroed(len * dh);
+    for (std::int64_t i = 0; i < len; ++i)
+      for (std::int64_t j = 0; j < dh; ++j)
+        dblock[static_cast<std::size_t>(i * dh + j)] += dy[(s + i) * dy_stride + j];
+    std::vector<float> dnumer = zeroed(len * dh), ddenom = zeroed(len);
+    for (std::int64_t i = 0; i < len; ++i)
+      for (std::int64_t j = 0; j < dh; ++j) {
+        float da = 0.0f, dc = 0.0f;
+        kern::div1_bwd(numer[(s + i) * dh + j], denom[s + i],
+                       dblock[static_cast<std::size_t>(i * dh + j)], da, dc);
+        dnumer[static_cast<std::size_t>(i * dh + j)] += da;
+        ddenom[static_cast<std::size_t>(i)] += dc;
+      }
+    const float* pq = phi_q + s * fm;
+    float* dpq = io.dphi_q.data() + s * fm;
+    std::fill_n(dpq, len * fm, 0.0f);
+    mm.da(mm.be, ddenom.data(), z + g * fm, dpq, len, fm, 1);
+    float* dzg = io.dz.data() + g * fm;
+    std::fill_n(dzg, fm, 0.0f);
+    mm.db(mm.be, ddenom.data(), pq, dzg, len, fm, 1);
+    const std::vector<float> ones(static_cast<std::size_t>(len), 1.0f);
+    std::vector<float> dphikt = zeroed(fm * len);
+    mm.da(mm.be, dzg, ones.data(), dphikt.data(), fm, len, 1);
+    mm.da(mm.be, dnumer.data(), kv + g * fm * dh, dpq, len, fm, dh);
+    float* dkvg = io.dkv.data() + g * fm * dh;
+    std::fill_n(dkvg, fm * dh, 0.0f);
+    mm.db(mm.be, dnumer.data(), pq, dkvg, len, fm, dh);
+    std::vector<float> phikt = zeroed(fm * len);
+    kern::transpose_fwd(phi_k + s * fm, phikt.data(), len, fm);
+    mm.da(mm.be, dkvg, v + s * dh, dphikt.data(), fm, len, dh);
+    float* dvg = io.dv.data() + s * dh;
+    std::fill_n(dvg, len * dh, 0.0f);
+    mm.db(mm.be, dkvg, phikt.data(), dvg, fm, len, dh);
+    float* dpk = io.dphi_k.data() + s * fm;
+    std::fill_n(dpk, len * fm, 0.0f);
+    kern::transpose_bwd(dphikt.data(), dpk, len, fm);
+  }
+}
+
+// The per-graph sequence of the FAVOR+ feature backward.
+void reference_favor_bwd(const MatmulGrads& mm, float* dphi, const float* u, const float* e,
+                         const float* omega, const std::vector<std::int64_t>& graph_ptr,
+                         std::int64_t dh, std::int64_t fm, float scale, float* du) {
+  for (std::size_t g = 0; g + 1 < graph_ptr.size(); ++g) {
+    const std::int64_t s = graph_ptr[g], len = graph_ptr[g + 1] - s;
+    if (len == 0) continue;
+    float* d = dphi + s * fm;
+    float* dug = du + s * dh;
+    std::fill_n(dug, len * dh, 0.0f);
+    for (std::int64_t i = 0; i < len * fm; ++i) d[i] *= scale;
+    for (std::int64_t i = 0; i < len * fm; ++i) d[i] *= e[s * fm + i];
+    std::vector<float> dsumsq(static_cast<std::size_t>(len));
+    for (std::int64_t i = 0; i < len; ++i)
+      for (std::int64_t j = 0; j < fm; ++j) dsumsq[static_cast<std::size_t>(i)] += -d[i * fm + j];
+    for (float& x : dsumsq) x *= 0.5f;
+    std::vector<float> dsq(static_cast<std::size_t>(len * dh));
+    kern::row_sum_bwd(dsumsq.data(), dsq.data(), len, dh);
+    for (std::int64_t i = 0; i < len * dh; ++i)
+      dug[i] += dsq[static_cast<std::size_t>(i)] * 2.0f * u[s * dh + i];
+    mm.da(mm.be, d, omega, dug, len, dh, fm);
+  }
+}
+
+void expect_attend_bwd_matches(const exec::KernelBackend& be, const std::vector<MatmulGrads>& refs,
+                               const std::vector<float>& dy, std::int64_t dy_stride,
+                               const std::vector<float>& phi_q, const std::vector<float>& phi_k,
+                               const std::vector<float>& v, const std::vector<float>& kv,
+                               const std::vector<float>& z, const std::vector<float>& numer,
+                               const std::vector<float>& denom,
+                               const std::vector<std::int64_t>& graph_ptr, std::int64_t dh,
+                               std::int64_t fm, const AttendBwdIo& dirty) {
+  const auto graphs = static_cast<std::int64_t>(graph_ptr.size()) - 1;
+  for (const int threads : {1, 2}) {
+    par::set_threads(threads);
+    AttendBwdIo got = dirty;
+    be.performer_attend_bwd(dy.data(), dy_stride, phi_q.data(), phi_k.data(), v.data(), kv.data(),
+                            z.data(), numer.data(), denom.data(), graph_ptr.data(), graphs, dh, fm,
+                            got.dkv.data(), got.dz.data(), got.dphi_q.data(), got.dphi_k.data(),
+                            got.dv.data());
+    for (const MatmulGrads& mm : refs) {
+      AttendBwdIo want = dirty;
+      reference_attend_bwd(mm, dy.data(), dy_stride, phi_q.data(), phi_k.data(), v.data(),
+                           kv.data(), z.data(), numer.data(), denom.data(), graph_ptr, dh, fm,
+                           want);
+      SCOPED_TRACE(std::string(be.name()) + " vs " + mm.name + " at " + std::to_string(threads) +
+                   " threads");
+      expect_bitwise(want.dkv, got.dkv, "attend_bwd dkv stride/dh/fm", dy_stride, dh, fm);
+      expect_bitwise(want.dz, got.dz, "attend_bwd dz stride/dh/fm", dy_stride, dh, fm);
+      expect_bitwise(want.dphi_q, got.dphi_q, "attend_bwd dphi_q stride/dh/fm", dy_stride, dh, fm);
+      expect_bitwise(want.dphi_k, got.dphi_k, "attend_bwd dphi_k stride/dh/fm", dy_stride, dh, fm);
+      expect_bitwise(want.dv, got.dv, "attend_bwd dv stride/dh/fm", dy_stride, dh, fm);
+    }
+  }
+  par::set_threads(0);
+}
+
+AttendBwdIo dirty_attend_bwd_io(std::int64_t rows, std::int64_t graphs, std::int64_t dh,
+                                std::int64_t fm, Rng& rng) {
+  AttendBwdIo io;
+  io.dkv = random_floats(static_cast<std::size_t>(graphs * fm * dh), rng);
+  io.dz = random_floats(static_cast<std::size_t>(graphs * fm), rng);
+  io.dphi_q = random_floats(static_cast<std::size_t>(rows * fm), rng);
+  io.dphi_k = random_floats(static_cast<std::size_t>(rows * fm), rng);
+  io.dv = random_floats(static_cast<std::size_t>(rows * dh), rng);
+  return io;
+}
+
+TEST(BackendFuzz, PerformerAttendBwdMatchesPerGraphCallsBitwise) {
+  Rng rng(9091);
+  const std::vector<std::int64_t> graph_ptr = graph_offsets();
+  const auto graphs = static_cast<std::int64_t>(kGraphLengths.size());
+  const std::int64_t rows = graph_ptr.back();
+  for (const auto& [be, refs] : backward_cases()) {
+    for (const std::int64_t heads : {1, 3}) {
+      for (const auto& [dh, fm] : backward_shapes()) {
+        // dy is the last head's column block of a heads * dh wide gradient.
+        const std::int64_t stride = heads * dh;
+        const auto dy_full = random_floats_with_zeros(count_of(rows * stride), rng);
+        const std::vector<float> dy(dy_full.begin() + (heads - 1) * dh, dy_full.end());
+        const auto phi_q = random_floats_with_zeros(count_of(rows * fm), rng);
+        const auto phi_k = random_floats_with_zeros(count_of(rows * fm), rng);
+        const auto v = random_floats_with_zeros(count_of(rows * dh), rng);
+        const auto kv = random_floats_with_zeros(count_of(graphs * fm * dh), rng);
+        const auto z = random_floats_with_zeros(count_of(graphs * fm), rng);
+        const auto numer = random_floats_with_zeros(count_of(rows * dh), rng);
+        const auto denom = random_floats(count_of(rows), rng);
+        expect_attend_bwd_matches(*be, refs, dy, stride, phi_q, phi_k, v, kv, z, numer, denom,
+                                  graph_ptr, dh, fm,
+                                  dirty_attend_bwd_io(rows, graphs, dh, fm, rng));
+      }
+    }
+  }
+}
+
+// The backward's zero-skips, made observable on -0.0 accumulators. The
+// first row of each graph has phi_q = (1e-10, 1e-30, ...), dy = -1e-20,
+// numer = -1 and denom = 1, so dkv[0,j] = -1e-30 while dkv[m>0,j] and
+// dz[m>0] underflow to -0.0 under AVX2's fmas; every later row has phi_q =
+// ±0.0, dy = 1 and numer = 0. Every row has phi_k = (1e-20, ±0.0, ...), so
+// dv[i,j] underflows to -0.0 at m = 0. An fma of a skipped ±0.0 phi_q or
+// phi_k would turn some of these -0.0s into +0.0.
+TEST(BackendFuzz, PerformerAttendBwdSkipsZerosOnNegativeZeroAccumulator) {
+  const std::vector<std::int64_t> graph_ptr = graph_offsets();
+  const auto graphs = static_cast<std::int64_t>(kGraphLengths.size());
+  const std::int64_t rows = graph_ptr.back();
+  Rng rng(9092);
+  for (const auto& [be, refs] : backward_cases()) {
+    for (const std::int64_t dh : {1, 4, 8, 12}) {
+      for (const std::int64_t fm : {8, 12, 16, 33}) {
+        std::vector<float> phi_q(count_of(rows * fm)), phi_k(count_of(rows * fm));
+        std::vector<float> dy(count_of(rows * dh), 1.0f), numer(count_of(rows * dh), 0.0f);
+        const std::vector<float> denom(count_of(rows), 1.0f), v(count_of(rows * dh), 1.0f);
+        for (std::int64_t i = 0; i < rows; ++i)
+          for (std::int64_t m = 0; m < fm; ++m) {
+            const float zero = (i + m) % 2 == 0 ? 0.0f : -0.0f;
+            phi_q[count_of(i * fm + m)] = zero;
+            phi_k[count_of(i * fm + m)] = m == 0 ? 1e-20f : zero;
+          }
+        for (std::size_t g = 0; g + 1 < graph_ptr.size(); ++g) {
+          const std::int64_t s = graph_ptr[g];
+          if (graph_ptr[g + 1] == s) continue;
+          for (std::int64_t m = 0; m < fm; ++m)
+            phi_q[count_of(s * fm + m)] = m == 0 ? 1e-10f : 1e-30f;
+          std::fill_n(dy.begin() + s * dh, dh, -1e-20f);
+          std::fill_n(numer.begin() + s * dh, dh, -1.0f);
+        }
+        const auto kv = random_floats(count_of(graphs * fm * dh), rng);
+        const auto z = random_floats(count_of(graphs * fm), rng);
+        expect_attend_bwd_matches(*be, refs, dy, dh, phi_q, phi_k, v, kv, z, numer, denom,
+                                  graph_ptr, dh, fm,
+                                  dirty_attend_bwd_io(rows, graphs, dh, fm, rng));
+      }
+    }
+  }
+}
+
+TEST(BackendFuzz, FavorBwdMatchesPerGraphCallsBitwise) {
+  Rng rng(9093);
+  const std::vector<std::int64_t> graph_ptr = graph_offsets();
+  const std::int64_t rows = graph_ptr.back();
+  for (const auto& [be, refs] : backward_cases()) {
+    for (const auto& [dh, fm] : backward_shapes()) {
+      const auto dphi = random_floats_with_zeros(count_of(rows * fm), rng);
+      const auto u = random_floats_with_zeros(count_of(rows * dh), rng);
+      const auto e = random_floats_with_zeros(count_of(rows * fm), rng);
+      const auto omega = random_floats_with_zeros(count_of(dh * fm), rng);
+      const auto du0 = random_floats(count_of(rows * dh), rng);
+      const float scale = 1.0f / std::sqrt(static_cast<float>(fm));
+      for (const int threads : {1, 2}) {
+        par::set_threads(threads);
+        std::vector<float> got_dphi = dphi, got_du = du0;
+        be->favor_bwd(got_dphi.data(), u.data(), e.data(), omega.data(), rows, dh, fm, scale,
+                      got_du.data());
+        for (const MatmulGrads& mm : refs) {
+          std::vector<float> want_dphi = dphi, want_du = du0;
+          reference_favor_bwd(mm, want_dphi.data(), u.data(), e.data(), omega.data(), graph_ptr,
+                              dh, fm, scale, want_du.data());
+          SCOPED_TRACE(std::string(be->name()) + " vs " + mm.name + " at " +
+                       std::to_string(threads) + " threads");
+          expect_bitwise(want_dphi, got_dphi, "favor_bwd dphi rows/dh/fm", rows, dh, fm);
+          expect_bitwise(want_du, got_du, "favor_bwd du rows/dh/fm", rows, dh, fm);
+        }
+      }
+      par::set_threads(0);
     }
   }
 }

@@ -51,16 +51,17 @@ struct Fixture {
     const ExtractionResult extraction = extract_parasitics(netlist, placement);
     Rng rng(1);
     const auto samples = build_link_samples(graph, extraction.links, rng, {});
-    for (std::size_t i = 0; i < 4 && i < samples.size(); ++i) {
+    for (std::size_t i = 0; i < 8 && i < samples.size(); ++i) {
       subgraphs.push_back(
           extract_enclosing_subgraph(graph.graph, samples[i].node_a, samples[i].node_b, {}));
     }
     normalizer.fit(graph.xc);
   }
 
-  SubgraphBatch batch(const GpsConfig& config) const {
+  // A batch of the first `count` subgraphs.
+  SubgraphBatch batch(const GpsConfig& config, std::size_t count = 4) const {
     std::vector<const Subgraph*> refs;
-    for (const Subgraph& sg : subgraphs) refs.push_back(&sg);
+    for (std::size_t i = 0; i < count && i < subgraphs.size(); ++i) refs.push_back(&subgraphs[i]);
     BatchOptions options;
     options.pe = config.pe;
     options.rwse_steps = config.rwse_steps;
@@ -433,9 +434,10 @@ TEST(ExecEquivalenceEdgeCases, EmptyEdgeBatchMatchesEager) {
 // Golden digests: the planned bits of each backend, pinned. FNV-1a runs over
 // the float bits of predict's output, and over the loss followed by every
 // parameter gradient after one forward_loss + backward. The configs are
-// Table II's (the values of bench_gps_config) and its Transformer variant.
-// A kernel rewrite that moves any bit on either backend fails here, at any
-// thread count.
+// Table II's (the values of bench_gps_config) and its Transformer variant,
+// each with a BCE step on 4 graphs, and Table II's fine-tune step. A kernel
+// rewrite that moves any bit on either backend fails here, at any thread
+// count.
 
 GpsConfig table2_config() {
   GpsConfig c;
@@ -469,6 +471,20 @@ struct Digests {
   std::uint64_t train = 0;
 };
 
+// Loss followed by every parameter gradient after one forward_loss +
+// backward of a fresh training-mode model.
+std::uint64_t train_digest(const GpsConfig& config, const SubgraphBatch& batch,
+                           const std::vector<float>& values, float alpha, bool link_task) {
+  CircuitGps model(config);
+  model.set_training(true);
+  exec::PlanRunner runner(model);
+  const float loss = runner.forward_loss(batch, values, alpha, link_task);
+  runner.backward();
+  std::uint64_t h = fnv1a(kFnvOffset, std::span<const float>(&loss, 1));
+  for (const auto& [name, p] : model.named_parameters()) h = fnv1a(h, p.grad());
+  return h;
+}
+
 Digests planned_digests(const GpsConfig& config) {
   const Fixture& f = fixture();
   const SubgraphBatch batch = f.batch(config);
@@ -481,18 +497,9 @@ Digests planned_digests(const GpsConfig& config) {
     const float* out = runner.predict(batch, &rows);
     d.predict = fnv1a(kFnvOffset, std::span<const float>(out, static_cast<std::size_t>(rows)));
   }
-  {
-    CircuitGps model(config);
-    model.set_training(true);
-    exec::PlanRunner runner(model);
-    std::vector<float> values;
-    for (std::int64_t g = 0; g < batch.num_graphs(); ++g)
-      values.push_back(static_cast<float>(g % 2));
-    const float loss = runner.forward_loss(batch, values, 0.0f, /*link=*/true);
-    runner.backward();
-    d.train = fnv1a(kFnvOffset, std::span<const float>(&loss, 1));
-    for (const auto& [name, p] : model.named_parameters()) d.train = fnv1a(d.train, p.grad());
-  }
+  std::vector<float> values;
+  for (std::int64_t g = 0; g < batch.num_graphs(); ++g) values.push_back(static_cast<float>(g % 2));
+  d.train = train_digest(config, batch, values, 0.0f, /*link_task=*/true);
   return d;
 }
 
@@ -527,11 +534,30 @@ void expect_digests(const char* backend, const GoldenCase& gc, const Digests& wa
       << backend << "/" << gc.name << " loss+grads: 0x" << std::hex << got.train;
 }
 
+// A Table-II fine-tune step: weighted MSE on regression targets over a batch
+// of 8 graphs, the few-shot adaptation's shape.
+std::uint64_t finetune_digest() {
+  const GpsConfig config = table2_config();
+  const SubgraphBatch batch = fixture().batch(config, 8);
+  EXPECT_EQ(batch.num_graphs(), 8);
+  std::vector<float> values;
+  for (std::int64_t g = 0; g < batch.num_graphs(); ++g)
+    values.push_back(0.125f * static_cast<float>(g + 1));
+  return train_digest(config, batch, values, 0.5f, /*link_task=*/false);
+}
+
+void expect_finetune_digest(const char* backend, std::uint64_t want) {
+  const ScopedEnv env("CIRCUITGPS_BACKEND", backend);
+  const std::uint64_t got = finetune_digest();
+  EXPECT_EQ(got, want) << backend << "/table2_finetune loss+grads: 0x" << std::hex << got;
+}
+
 class ExecGoldenDigests : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExecGoldenDigests, Scalar) {
   par::set_threads(GetParam());
   for (const GoldenCase& gc : golden_cases()) expect_digests("scalar", gc, gc.scalar);
+  expect_finetune_digest("scalar", 0xe3055ede2e1033dbull);
   par::set_threads(2);
 }
 
@@ -539,6 +565,7 @@ TEST_P(ExecGoldenDigests, Avx2) {
   if (exec::avx2_backend() == nullptr) GTEST_SKIP() << "no AVX2+FMA";
   par::set_threads(GetParam());
   for (const GoldenCase& gc : golden_cases()) expect_digests("avx2", gc, gc.avx2);
+  expect_finetune_digest("avx2", 0x9d828630db36d9f0ull);
   par::set_threads(2);
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for the plan compiler and arena allocator (DESIGN.md §10):
 // fusion legality, schedule/liveness invariants, the inference rewrites,
 // and slab packing.
+#include "alloc_counter.hpp"
 #include "exec/arena.hpp"
 #include "exec/executor.hpp"
 #include "exec/gps_program.hpp"
@@ -376,6 +377,27 @@ TEST(ExecExecutor, ArenaBytesStableAcrossRebinds) {
   EXPECT_GT(bytes, 0);
   exec.bind(batch, target.data(), nullptr);
   EXPECT_EQ(exec.arena_bytes(), bytes) << "same batch, same carve";
+}
+
+// A warm bind allocates nothing: the arena keeps its offsets, order, heap
+// and free list across binds, and the executor its per-bind tables. Counted
+// for the Table-II inference plan and its BCE training plan.
+TEST(ExecExecutor, WarmBindsAllocateNothing) {
+  const GpsConfig config = table2_config();
+  const SubgraphBatch batch = timing_control_batch(config, 8);
+  std::vector<float> target(static_cast<std::size_t>(batch.num_graphs()), 0.5f);
+  for (const bool training : {false, true}) {
+    CircuitGps model(config);
+    model.set_training(training);
+    exec::Executor exec(exec::compile(exec::build_program(
+        model, training, training ? exec::LossKind::kBce : exec::LossKind::kNone)));
+    const float* t = training ? target.data() : nullptr;
+    exec.bind(batch, t, nullptr);
+    const std::int64_t before = test::thread_allocations();
+    for (int i = 0; i < 3; ++i) exec.bind(batch, t, nullptr);
+    EXPECT_EQ(test::thread_allocations() - before, 0)
+        << (training ? "training" : "inference") << " plan";
+  }
 }
 
 // Bind builds no row groups: the indexed kernels group their rows

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <set>
+#include <vector>
 
 namespace cgps {
 namespace {
@@ -104,6 +106,40 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+// The bulk mask fill is a bernoulli(p) loop: the same values and the same
+// state afterwards, for the float p that dropout passes, the extremes, and
+// counts around the loop's unroll widths. A normal() draw before the fill
+// leaves a cached value, which the fill must not touch either.
+TEST(Rng, BernoulliMaskFillEqualsBernoulliLoop) {
+  for (const double p : {0.0, static_cast<double>(1e-10f), 1e-10, static_cast<double>(0.1f), 0.5,
+                         static_cast<double>(0.9f), 1.0}) {
+    for (const std::int64_t count : {0, 1, 7, 8, 9, 64, 1000, 10592}) {
+      Rng loop(static_cast<std::uint64_t>(count) * 31 + 5), fill = loop;
+      EXPECT_EQ(loop.normal(), fill.normal());
+      std::vector<float> want(static_cast<std::size_t>(count)), got(want.size(), -1.0f);
+      for (float& m : want) m = loop.bernoulli(p) ? 0.0f : 2.5f;
+      fill.fill_bernoulli_mask(p, 2.5f, got.data(), count);
+      ASSERT_EQ(want, got) << "p=" << p << " count=" << count;
+      EXPECT_EQ(loop.normal(), fill.normal()) << "p=" << p << " count=" << count;
+      EXPECT_EQ(loop.next_u64(), fill.next_u64()) << "p=" << p << " count=" << count;
+    }
+  }
+}
+
+// Thresholds at the edge: a draw whose 53 bits equal ceil(p 2^53) - 1 is
+// below p, one equal to ceil(p 2^53) is not; p outside [0, 1] and NaN
+// behave as uniform() < p does.
+TEST(Rng, BernoulliMaskFillHandlesOutOfRangeP) {
+  for (const double p : {-0.5, 1.5, std::nan("")}) {
+    Rng loop(11), fill = loop;
+    std::vector<float> want(100), got(100);
+    for (float& m : want) m = loop.bernoulli(p) ? 0.0f : 1.0f;
+    fill.fill_bernoulli_mask(p, 1.0f, got.data(), 100);
+    EXPECT_EQ(want, got) << "p=" << p;
+    EXPECT_EQ(loop.next_u64(), fill.next_u64());
   }
 }
 

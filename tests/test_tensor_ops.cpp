@@ -1,10 +1,16 @@
 // Forward-value correctness for every op (gradients are covered in
-// test_autograd.cpp).
+// test_autograd.cpp), and kernels whose loop order changed against a copy of
+// the loops they replaced.
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <vector>
 
 namespace cgps {
 namespace {
@@ -264,6 +270,71 @@ TEST(InferenceMode, SuppressesGraphConstruction) {
   }
   Tensor c = ops::scale(a, 2.0f);
   EXPECT_TRUE(c.requires_grad());
+}
+
+// The BatchNorm backward's row-order loops against an in-test copy of the
+// column loops they replaced (each column summed over i ascending), bit for
+// bit, on shapes around the 16-column block at 1 and 2 threads. Inputs hold
+// ±0.0 and dgamma/dbeta/dx start dirty, since all three accumulate.
+TEST(Kernels, BatchnormBackwardRowOrderMatchesColumnLoops) {
+  Rng rng(41);
+  const auto bits = [](const std::vector<float>& v) {
+    std::vector<std::uint32_t> out;
+    for (const float x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+    return out;
+  };
+  const auto draw = [&](std::size_t n) {
+    std::vector<float> v(n);
+    for (float& x : v) {
+      const double u = rng.uniform();
+      x = u < 0.1 ? 0.0f : u < 0.2 ? -0.0f : static_cast<float>(rng.uniform(-2.0, 2.0));
+    }
+    return v;
+  };
+  for (const std::int64_t rows : {1, 7, 393}) {
+    for (const std::int64_t cols : {1, 5, 16, 17, 33, 64}) {
+      const auto n = static_cast<std::size_t>(rows * cols), c = static_cast<std::size_t>(cols);
+      const auto dy = draw(n), xhat = draw(n), gamma = draw(c), invstd = draw(c);
+      const auto dg0 = draw(c), db0 = draw(c), dx0 = draw(n);
+      // The column loops.
+      std::vector<float> dg = dg0, db = db0, dx = dx0;
+      const float inv_m = 1.0f / static_cast<float>(rows);
+      for (std::int64_t j = 0; j < cols; ++j) {
+        float g = 0.0f, b = 0.0f, sum_dxhat = 0.0f, sum_dxhat_xhat = 0.0f;
+        for (std::int64_t i = 0; i < rows; ++i) {
+          const auto k = static_cast<std::size_t>(i * cols + j);
+          g += dy[k] * xhat[k];
+          b += dy[k];
+          const float dxhat = dy[k] * gamma[static_cast<std::size_t>(j)];
+          sum_dxhat += dxhat;
+          sum_dxhat_xhat += dxhat * xhat[k];
+        }
+        dg[static_cast<std::size_t>(j)] += g;
+        db[static_cast<std::size_t>(j)] += b;
+        for (std::int64_t i = 0; i < rows; ++i) {
+          const auto k = static_cast<std::size_t>(i * cols + j);
+          const float dxhat = dy[k] * gamma[static_cast<std::size_t>(j)];
+          dx[k] += invstd[static_cast<std::size_t>(j)] *
+                   (dxhat - inv_m * sum_dxhat - xhat[k] * inv_m * sum_dxhat_xhat);
+        }
+      }
+      for (const int threads : {1, 2}) {
+        par::set_threads(threads);
+        std::vector<float> got_dg = dg0, got_db = db0, got_dx = dx0;
+        kern::bn_bwd_params(dy.data(), xhat.data(), rows, cols, got_dg.data(), got_db.data());
+        kern::bn_bwd_dx_train(dy.data(), gamma.data(), invstd.data(), xhat.data(), got_dx.data(),
+                              rows, cols);
+        EXPECT_EQ(bits(dg), bits(got_dg)) << rows << "x" << cols << " at " << threads;
+        EXPECT_EQ(bits(db), bits(got_db)) << rows << "x" << cols << " at " << threads;
+        EXPECT_EQ(bits(dx), bits(got_dx)) << rows << "x" << cols << " at " << threads;
+      }
+      // A null target still leaves the other one right.
+      std::vector<float> got_db = db0;
+      kern::bn_bwd_params(dy.data(), xhat.data(), rows, cols, nullptr, got_db.data());
+      EXPECT_EQ(bits(db), bits(got_db)) << rows << "x" << cols;
+    }
+  }
+  par::set_threads(0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // thread-safety under the work pool, cgps-trace-v1 stream coverage of the
 // training hot paths, and the contract that tracing never changes training
 // results.
+#include "alloc_counter.hpp"
 #include "train/trainer.hpp"
 #include "util/json_writer.hpp"
 #include "util/metrics.hpp"
@@ -14,34 +15,9 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <map>
-#include <new>
 #include <set>
 #include <string>
 #include <vector>
-
-namespace {
-// Heap allocations made on the calling thread, counted by the global
-// operator new below.
-thread_local std::int64_t t_allocations = 0;
-}  // namespace
-
-// The nothrow forms are replaced too (std::stable_sort's buffer uses them),
-// so every delete below frees what a malloc here returned; GCC cannot see
-// that pairing.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++t_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new(std::size_t size) {
-  if (void* p = operator new(size, std::nothrow)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace cgps {
 namespace {
@@ -136,9 +112,9 @@ TEST(TraceSpanTest, WarmSpansDoNotAllocateWhenStreamingOff) {
     const TraceSpan inner("test.no_alloc.inner");
   };
   spans();  // registers both histograms and grows this thread's buffers
-  const std::int64_t before = t_allocations;
+  const std::int64_t before = test::thread_allocations();
   for (int i = 0; i < 100; ++i) spans();
-  EXPECT_EQ(t_allocations - before, 0);
+  EXPECT_EQ(test::thread_allocations() - before, 0);
 }
 
 TEST(TraceSpanTest, ThreadSafeUnderWorkPool) {
