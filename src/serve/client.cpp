@@ -69,10 +69,9 @@ bool ServeClient::flush() {
   return ok;
 }
 
-std::optional<Response> ServeClient::recv() {
-  if (fd_ < 0) return std::nullopt;
+std::optional<std::vector<std::uint8_t>> ServeClient::next_payload() {
   std::vector<std::uint8_t> payload;
-  for (;;) {
+  while (fd_ >= 0) {
     // The client side is liberal about frame size (stats frames carry the
     // whole registry as JSON); the server keeps the tight request-sized cap.
     const FrameScan scan = scan_frame(in_buf_, in_pos_, payload, kMaxStatsFrameBytes);
@@ -82,21 +81,23 @@ std::optional<Response> ServeClient::recv() {
         in_buf_.erase(in_buf_.begin(), in_buf_.begin() + static_cast<std::ptrdiff_t>(in_pos_));
         in_pos_ = 0;
       }
-      return decode_response(payload);
+      return payload;
     }
-    if (scan == FrameScan::kCorrupt) {
-      close();
-      return std::nullopt;
-    }
+    if (scan == FrameScan::kCorrupt) break;
     std::uint8_t chunk[64 * 1024];
     const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
     if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      close();
-      return std::nullopt;
-    }
+    if (got <= 0) break;
     in_buf_.insert(in_buf_.end(), chunk, chunk + got);
   }
+  close();
+  return std::nullopt;
+}
+
+std::optional<Response> ServeClient::recv() {
+  const std::optional<std::vector<std::uint8_t>> payload = next_payload();
+  if (!payload.has_value()) return std::nullopt;
+  return decode_response(*payload);
 }
 
 std::optional<Response> ServeClient::call(const Request& request) {
@@ -108,30 +109,17 @@ std::optional<std::string> ServeClient::fetch_stats() {
   Request probe;
   probe.task = TaskKind::kStats;
   if (!send(probe)) return std::nullopt;
-  std::vector<std::uint8_t> payload;
   for (;;) {
-    const FrameScan scan = scan_frame(in_buf_, in_pos_, payload, kMaxStatsFrameBytes);
-    if (scan == FrameScan::kFrame) {
-      const std::optional<StatsResponse> stats = decode_stats_response(payload);
-      if (stats.has_value()) return stats->json;
-      // A stray regular response (pipelining misuse) is skipped; anything
-      // else is an untrustworthy stream.
-      if (decode_response(payload).has_value()) continue;
+    const std::optional<std::vector<std::uint8_t>> payload = next_payload();
+    if (!payload.has_value()) return std::nullopt;
+    const std::optional<StatsResponse> stats = decode_stats_response(*payload);
+    if (stats.has_value()) return stats->json;
+    // A stray regular response (pipelining misuse) is skipped; anything
+    // else is an untrustworthy stream.
+    if (!decode_response(*payload).has_value()) {
       close();
       return std::nullopt;
     }
-    if (scan == FrameScan::kCorrupt) {
-      close();
-      return std::nullopt;
-    }
-    std::uint8_t chunk[64 * 1024];
-    const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      close();
-      return std::nullopt;
-    }
-    in_buf_.insert(in_buf_.end(), chunk, chunk + got);
   }
 }
 

@@ -50,6 +50,10 @@ class ServeClient {
   std::optional<std::string> fetch_stats();
 
  private:
+  // Next frame's payload off the inbound stream, reading as needed; nullopt
+  // after closing on end of file, a read error or a corrupt frame.
+  std::optional<std::vector<std::uint8_t>> next_payload();
+
   int fd_ = -1;
   std::vector<std::uint8_t> out_buf_;
   // Inbound stream buffer: one read(2) may deliver many pipelined response

@@ -202,22 +202,6 @@ bool ServeCore::submit(const Request& request, ResponseCallback done) {
   return true;
 }
 
-Response ServeCore::predict(const Request& request) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-  Response out;
-  submit(request, [&](const Response& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    out = r;
-    ready = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return ready; });
-  return out;
-}
-
 // Take up to max_batch requests off the front of the queue.
 std::vector<ServeCore::Pending> ServeCore::take_batch() {
   const std::size_t k = std::min(queue_.size(), static_cast<std::size_t>(options_.max_batch));
@@ -279,13 +263,12 @@ int ServeCore::serve_some(std::vector<Pending>& taken) {
     if (!group.empty()) process_group(group);
     live.swap(rest);
   }
-  // Batch boundary: let the transport flush everything this cycle replied.
-  std::function<void()> hook;
+  // Batch boundary: let the transport send everything this cycle replied.
+  // Called under the lock so that set_cycle_hook({}) waits for it.
   {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    hook = cycle_hook_;
+    const std::lock_guard<std::mutex> lock(hook_mu_);
+    if (cycle_hook_) cycle_hook_();
   }
-  if (hook) hook();
   return static_cast<int>(taken.size());
 }
 

@@ -82,11 +82,6 @@ class ServeCore {
   // kOverloaded or kShutdown.
   bool submit(const Request& request, ResponseCallback done);
 
-  // Blocking convenience wrapper around submit() (socket handlers and tests
-  // that want call/response semantics). Requires start() or a concurrent
-  // run_cycle() driver for queued kinds.
-  Response predict(const Request& request);
-
   // Synchronously drain and serve up to max_batch queued requests on the
   // calling thread. Only meaningful when the batching thread is not running
   // (tests/benches pinning batch composition). Returns requests answered.
@@ -94,7 +89,6 @@ class ServeCore {
 
   std::size_t num_designs() const { return designs_.size(); }
   const ServedDesign& design(std::size_t i) const { return designs_[i]; }
-  const CircuitGps& model() const { return model_; }
   const XcNormalizer& normalizer() const { return normalizer_; }
   const ServeOptions& options() const { return options_; }
   // Stamp the snapshot identity (checkpoint path, build tag). Call before
@@ -108,10 +102,13 @@ class ServeCore {
   std::string stats_json() const;
 
   // Invoked once after every batching cycle, from the thread that served it,
-  // after all of the cycle's response callbacks have fired. The TCP front
-  // end registers its write-buffer flush here so one batch of responses
-  // costs one write(2) per connection instead of one per request. Pass an
-  // empty function to unregister.
+  // after all of the cycle's response callbacks have fired. The hook runs
+  // under the lock set_cycle_hook takes, so once set_cycle_hook returns the
+  // previous hook is no longer running; it must be short and must not call
+  // back into ServeCore. The TCP front end registers a one-byte wake of its
+  // poll loop here, which then sends one batch of responses with one send(2)
+  // per connection instead of one per request. Pass an empty function to
+  // unregister.
   void set_cycle_hook(std::function<void()> hook);
 
  private:

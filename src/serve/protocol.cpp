@@ -125,45 +125,6 @@ std::optional<StatsResponse> decode_stats_response(const std::vector<std::uint8_
   return r;
 }
 
-std::vector<std::uint8_t> frame(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 4);
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-namespace {
-
-bool read_exact(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t got = ::read(fd, data + done, n - done);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (got == 0) return false;  // EOF mid-frame (or clean close at n=start)
-    done += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t put_n = ::write(fd, data + done, n - done);
-    if (put_n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(put_n);
-  }
-  return true;
-}
-
-}  // namespace
-
 FrameScan scan_frame(const std::vector<std::uint8_t>& buffer, std::size_t& pos,
                      std::vector<std::uint8_t>& payload, std::uint32_t max_frame_bytes) {
   if (buffer.size() - pos < 4) return FrameScan::kNeedMore;
@@ -188,22 +149,16 @@ void append_frame(std::vector<std::uint8_t>& buffer,
 }
 
 bool write_all_bytes(int fd, const std::uint8_t* data, std::size_t n) {
-  return write_all(fd, data, n);
-}
-
-bool read_frame(int fd, std::vector<std::uint8_t>& payload) {
-  std::uint8_t prefix[4];
-  if (!read_exact(fd, prefix, 4)) return false;
-  std::uint32_t length = 0;
-  std::memcpy(&length, prefix, 4);
-  if (length == 0 || length > kMaxFrameBytes) return false;
-  payload.resize(length);
-  return read_exact(fd, payload.data(), length);
-}
-
-bool write_frame(int fd, const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> framed = frame(payload);
-  return write_all(fd, framed.data(), framed.size());
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t put_n = ::write(fd, data + done, n - done);
+    if (put_n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(put_n);
+  }
+  return true;
 }
 
 }  // namespace cgps::serve

@@ -61,16 +61,6 @@ struct StatsResponse {
 std::vector<std::uint8_t> encode_stats_response(std::uint64_t id, std::string_view json);
 std::optional<StatsResponse> decode_stats_response(const std::vector<std::uint8_t>& payload);
 
-// Prepend the u32 length prefix.
-std::vector<std::uint8_t> frame(const std::vector<std::uint8_t>& payload);
-
-// Blocking frame I/O over a connected socket/pipe fd. read_frame returns
-// false on EOF, error, or an oversized/undersized length prefix; write_frame
-// returns false when the peer went away. Both retry on EINTR and partial
-// transfers.
-bool read_frame(int fd, std::vector<std::uint8_t>& payload);
-bool write_frame(int fd, const std::vector<std::uint8_t>& payload);
-
 // Non-blocking frame scan over an in-memory stream buffer: when `buffer`
 // holds a complete frame starting at `pos`, copies its payload out, advances
 // `pos` past it and returns kFrame. kNeedMore = the prefix or payload is
@@ -85,13 +75,13 @@ FrameScan scan_frame(const std::vector<std::uint8_t>& buffer, std::size_t& pos,
                      std::vector<std::uint8_t>& payload,
                      std::uint32_t max_frame_bytes = kMaxFrameBytes);
 
-// Append the framed message to an in-memory write buffer (pair with one
-// write_all-style flush for a whole batch of responses).
+// Append the framed message (u32 length prefix + payload) to an in-memory
+// write buffer, so a whole batch of messages goes out in one write.
 void append_frame(std::vector<std::uint8_t>& buffer,
                   const std::vector<std::uint8_t>& payload);
 
-// write(2) the whole buffer (EINTR/partial-retry); false when the peer went
-// away. Exposed for the buffered server/client write paths.
+// Blocking write(2) of the whole buffer (EINTR/partial-retry); false when
+// the peer went away. The client's write path.
 bool write_all_bytes(int fd, const std::uint8_t* data, std::size_t n);
 
 }  // namespace cgps::serve

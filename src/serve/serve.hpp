@@ -14,6 +14,10 @@
 
 namespace cgps::serve {
 
+// TCP port cgps_serve binds on 127.0.0.1, and cgps_top polls, unless told
+// otherwise with --port / --connect.
+inline constexpr int kDefaultPort = 9207;
+
 // What a request asks the model for. kInfo and kStats are answered
 // synchronously at admission (design discovery / live introspection — they
 // never enter the batch queue); the other kinds ride the batching loop.

@@ -1,20 +1,18 @@
 // TCP front end of cgps_serve (DESIGN.md §11): a loopback listener accepting
-// length-prefixed request frames (serve/protocol.hpp), one reader thread per
-// connection, responses written back under a per-connection mutex from
-// whichever thread finishes the request (admission for rejects, the batching
-// thread for served work). Requests on one connection are pipelined — the
-// client needn't wait for a response before sending the next frame; responses
-// carry the request id, so ordering is the client's concern.
+// length-prefixed request frames (serve/protocol.hpp). One poll(2) loop
+// thread owns every socket: it accepts, reads and parses frames, submits them
+// to the core, and sends replies without blocking. Replies collect in a
+// per-connection outbox from whichever thread finishes the request (the loop
+// for inline answers, the batching thread for served work); the batching
+// thread never touches a client socket, it wakes the loop once per cycle.
+// Requests on one connection are pipelined — the client needn't wait for a
+// response before sending the next frame; responses carry the request id, so
+// ordering is the client's concern.
 #pragma once
 
 #include "serve/core.hpp"
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
 namespace cgps::serve {
 
@@ -28,46 +26,28 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  // Bind + listen + spawn the accept thread. False on bind/listen failure
+  // Bind + listen + spawn the loop thread. False on bind/listen failure
   // (port in use, no permission) — error already logged.
   bool start();
 
-  // Stop accepting, shut every live connection, join all threads. The core
-  // is NOT stopped — callers own its drain (tools/cgps_serve stops the
-  // server first, then drains the core, so accepted work still completes).
+  // Stop the loop and close every socket; replies not yet sent are dropped.
+  // The core is NOT stopped — callers own its drain (tools/cgps_serve stops
+  // the server first, then drains the core, so accepted work still completes).
   void stop();
 
   int port() const { return port_; }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> open{true};
-    // Responses accumulate here (under write_mu) and go out in one write(2)
-    // at each batch boundary (ServeCore cycle hook) — the syscall-per-
-    // response cost is what would otherwise cap pipelined throughput.
-    std::vector<std::uint8_t> out_buf;
-  };
-
-  void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  static void flush_connection(Connection& conn);
-  void flush_all();
+  void loop();
 
   ServeCore& core_;
   int requested_port_;
   int port_ = 0;
   int listen_fd_ = -1;
-  // Live connection count behind the serve.active_connections gauge:
-  // incremented at accept, decremented when the reader thread exits (the
-  // serve.connections counter stays lifetime-monotonic).
-  std::atomic<int> active_conns_{0};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;
+  // The cycle hook writes one byte to wake_[1] per batching cycle. stop()
+  // closes wake_[1]; the loop exits when wake_[0] reads end of file.
+  int wake_[2] = {-1, -1};
+  std::thread thread_;
 };
 
 }  // namespace cgps::serve

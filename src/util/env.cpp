@@ -123,35 +123,6 @@ BackendKind env_backend() {
   return BackendKind::kAuto;
 }
 
-namespace {
-
-// Shared reader for the CIRCUITGPS_SERVE_* integer knobs: value must be an
-// integer in [min, max], else warn once and use the default.
-int serve_int_env(const char* name, int fallback, int min, int max) {
-  if (const char* env = std::getenv(name)) {
-    const std::optional<long long> v = parse_env_int(env);
-    if (v.has_value() && *v >= min && *v <= max) return static_cast<int>(*v);
-    warn_once(name, env, "out of range or not an integer; using the default");
-  }
-  return fallback;
-}
-
-}  // namespace
-
-int env_serve_port() { return serve_int_env("CIRCUITGPS_SERVE_PORT", 9207, 0, 65535); }
-
-int env_serve_max_batch() {
-  return serve_int_env("CIRCUITGPS_SERVE_MAX_BATCH", 64, 1, 4096);
-}
-
-int env_serve_queue_cap() {
-  return serve_int_env("CIRCUITGPS_SERVE_QUEUE_CAP", 1024, 1, 1 << 20);
-}
-
-int env_serve_deadline_ms() {
-  return serve_int_env("CIRCUITGPS_SERVE_DEADLINE_MS", 100, 1, 3600000);
-}
-
 std::string env_serve_access_log_path() {
   const char* env = std::getenv("CIRCUITGPS_SERVE_ACCESS_LOG");
   return env != nullptr ? std::string(env) : std::string();

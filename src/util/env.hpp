@@ -63,22 +63,6 @@ bool env_trace_enabled();
 enum class BackendKind { kAuto, kScalar, kAvx2 };
 BackendKind env_backend();
 
-// cgps_serve daemon defaults (DESIGN.md §11). Each CLI flag on the tool
-// overrides the matching variable; the variable overrides the built-in
-// default. All are read fresh on every call so tests can retarget them.
-//
-// CIRCUITGPS_SERVE_PORT: TCP port to bind on 127.0.0.1 (0 = ephemeral).
-int env_serve_port();
-// CIRCUITGPS_SERVE_MAX_BATCH: coalesced-batch size cap per forward pass.
-int env_serve_max_batch();
-// CIRCUITGPS_SERVE_QUEUE_CAP: admission-queue bound; submissions beyond it
-// are rejected immediately with status `overloaded` (backpressure).
-int env_serve_queue_cap();
-// CIRCUITGPS_SERVE_DEADLINE_MS: default per-request deadline in
-// milliseconds, applied when a request carries deadline_us == 0. Requests
-// still queued past their deadline are shed with status `timeout`.
-int env_serve_deadline_ms();
-
 // Value of CIRCUITGPS_SERVE_ACCESS_LOG: path of the per-request
 // cgps-serve-access-v1 JSONL access log emitted by the serving core
 // (DESIGN.md §11), or "" when unset (logging off). Read fresh on every call

@@ -85,41 +85,6 @@ TEST(Env, ScaledAppliesFactorAndFloor) {
   EXPECT_EQ(scaled(7, 3), 7);
 }
 
-TEST(Env, ServeKnobsParseAndClamp) {
-  ::unsetenv("CIRCUITGPS_SERVE_PORT");
-  EXPECT_EQ(env_serve_port(), 9207);
-  {
-    const ScopedEnv env("CIRCUITGPS_SERVE_PORT", "0");
-    EXPECT_EQ(env_serve_port(), 0);  // 0 = ephemeral port is legal
-  }
-  for (const char* bad : {"70000", "-1", "80x", ""}) {
-    const ScopedEnv env("CIRCUITGPS_SERVE_PORT", bad);
-    EXPECT_EQ(env_serve_port(), 9207) << "value: \"" << bad << "\"";
-  }
-  {
-    const ScopedEnv env("CIRCUITGPS_SERVE_MAX_BATCH", "8");
-    EXPECT_EQ(env_serve_max_batch(), 8);
-  }
-  for (const char* bad : {"0", "-4", "big"}) {
-    const ScopedEnv env("CIRCUITGPS_SERVE_MAX_BATCH", bad);
-    EXPECT_EQ(env_serve_max_batch(), 64) << "value: \"" << bad << "\"";
-  }
-  {
-    const ScopedEnv env("CIRCUITGPS_SERVE_QUEUE_CAP", "16");
-    EXPECT_EQ(env_serve_queue_cap(), 16);
-  }
-  ::unsetenv("CIRCUITGPS_SERVE_QUEUE_CAP");
-  EXPECT_EQ(env_serve_queue_cap(), 1024);
-  {
-    const ScopedEnv env("CIRCUITGPS_SERVE_DEADLINE_MS", "250");
-    EXPECT_EQ(env_serve_deadline_ms(), 250);
-  }
-  for (const char* bad : {"0", "0.5", "fast"}) {
-    const ScopedEnv env("CIRCUITGPS_SERVE_DEADLINE_MS", bad);
-    EXPECT_EQ(env_serve_deadline_ms(), 100) << "value: \"" << bad << "\"";
-  }
-}
-
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0;

@@ -7,8 +7,11 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/json_writer.hpp"
+#include "util/metrics.hpp"
 
 #include <arpa/inet.h>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -16,8 +19,10 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <limits>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -84,6 +89,36 @@ struct ServeFixture {
 ServeFixture& fixture() {
   static ServeFixture f;
   return f;
+}
+
+// A plain blocking loopback socket, for clients ServeClient cannot play.
+int raw_connect(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+// Entries of /proc/self/<dir>: open descriptors ("fd") or threads ("task").
+std::ptrdiff_t proc_self_entries(const char* dir) {
+  return std::distance(std::filesystem::directory_iterator(std::string("/proc/self/") + dir),
+                       std::filesystem::directory_iterator{});
+}
+
+// Polls `done` for up to 5 s: the server reaps a closed connection on its
+// own thread, after the client's close() has returned.
+template <typename Done>
+bool within_5s(Done done) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
 }
 
 TEST(ServeCore, CoalescedMatchesSoloBitwise) {
@@ -374,16 +409,6 @@ TEST(ServeServer, CorruptStatsFramesGetErrorAndClose) {
   serve::ServeServer server(core, /*port=*/0);
   ASSERT_TRUE(server.start());
 
-  const auto raw_connect = [&]() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    return fd;
-  };
   const auto expect_error_then_eof = [&](int fd) {
     std::vector<std::uint8_t> buf;
     std::uint8_t chunk[4096];
@@ -411,20 +436,143 @@ TEST(ServeServer, CorruptStatsFramesGetErrorAndClose) {
     payload.resize(payload.size() / 2);
     std::vector<std::uint8_t> framed;
     serve::append_frame(framed, payload);
-    const int fd = raw_connect();
+    const int fd = raw_connect(server.port());
     ASSERT_TRUE(serve::write_all_bytes(fd, framed.data(), framed.size()));
     expect_error_then_eof(fd);
   }
   {
     // Oversized length prefix: corrupt before any payload arrives.
     const std::uint8_t evil[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-    const int fd = raw_connect();
+    const int fd = raw_connect(server.port());
     ASSERT_TRUE(serve::write_all_bytes(fd, evil, sizeof(evil)));
     expect_error_then_eof(fd);
   }
 
   server.stop();
   core.stop();
+}
+
+// A closed connection gives its descriptor back, and any number of open
+// connections share the one loop thread.
+TEST(ServeServer, ConnectionChurnLeavesNoDescriptorOrThreadBehind) {
+  ServeFixture& f = fixture();
+  serve::ServeCore core(*f.model, f.normalizer, {f.design}, f.options());
+  core.start();
+  serve::ServeServer server(core, /*port=*/0);
+  ASSERT_TRUE(server.start());
+  const Gauge& active = metric_gauge("serve.active_connections");
+  const auto call_ok = [&](serve::ServeClient& client, std::uint64_t id) {
+    ASSERT_TRUE(client.connected() || client.connect("127.0.0.1", server.port()));
+    const auto r = client.call(f.link_request(id, static_cast<std::int32_t>(id % 8),
+                                              static_cast<std::int32_t>((id + 3) % 8)));
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, Status::kOk);
+  };
+  {
+    // The first request starts every thread the core starts lazily.
+    serve::ServeClient client;
+    call_ok(client, 1);
+  }
+  ASSERT_TRUE(within_5s([&] { return active.value() == 0.0; }));
+  const std::ptrdiff_t fds = proc_self_entries("fd");
+  const std::ptrdiff_t threads = proc_self_entries("task");
+  {
+    std::array<serve::ServeClient, 4> clients;
+    for (std::size_t i = 0; i < clients.size(); ++i) call_ok(clients[i], 10 + i);
+    EXPECT_EQ(active.value(), 4.0);
+    EXPECT_EQ(proc_self_entries("task"), threads);
+  }
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    serve::ServeClient client;
+    call_ok(client, 100 + i);
+  }
+  EXPECT_TRUE(within_5s([&] { return active.value() == 0.0 && proc_self_entries("fd") == fds; }))
+      << "descriptors " << proc_self_entries("fd") << " (baseline " << fds
+      << "), active connections " << active.value();
+  server.stop();
+  core.stop();
+}
+
+// A client that pipelines requests and never reads its replies must not
+// hold up anyone else: the server stops reading it while a read's worth of
+// its replies is unsent, and the batching thread never writes to a socket.
+TEST(ServeServer, StalledReaderDoesNotStallOtherClients) {
+  ServeFixture& f = fixture();
+  serve::ServeCore core(*f.model, f.normalizer, {f.design}, f.options());
+  core.start();
+  serve::ServeServer server(core, /*port=*/0);
+  ASSERT_TRUE(server.start());
+
+  // A whole number of node-cap frames, sent round and round so every send
+  // continues the stream where the last one stopped.
+  std::vector<std::uint8_t> stream;
+  for (std::int32_t i = 0; i < 256; ++i) {
+    Request r;
+    r.id = static_cast<std::uint64_t>(i + 1);
+    r.task = TaskKind::kNodeCap;
+    r.node_a = i % 8;
+    serve::append_frame(stream, serve::encode_request(r));
+  }
+  const int stalled = raw_connect(server.port());
+  std::size_t sent = 0;
+  while (sent < (std::size_t{8} << 20)) {
+    pollfd writable{stalled, POLLOUT, 0};
+    if (::poll(&writable, 1, 200) <= 0) break;  // writes stalled
+    const std::size_t at = sent % stream.size();
+    const ssize_t n = ::send(stalled, stream.data() + at, stream.size() - at, MSG_DONTWAIT);
+    if (n > 0) sent += static_cast<std::size_t>(n);
+  }
+
+  // The stalled client's admitted work drains, and another client is served.
+  const Gauge& queue_depth = metric_gauge("serve.queue_depth");
+  EXPECT_TRUE(within_5s([&] { return queue_depth.value() == 0.0; }))
+      << "queue depth " << queue_depth.value() << " after " << sent << " bytes";
+  const int other = raw_connect(server.port());
+  std::vector<std::uint8_t> frame;
+  serve::append_frame(frame, serve::encode_request(f.link_request(7, 0, 1)));
+  EXPECT_TRUE(serve::write_all_bytes(other, frame.data(), frame.size()));
+  std::vector<std::uint8_t> in;
+  std::vector<std::uint8_t> payload;
+  std::size_t pos = 0;
+  while (serve::scan_frame(in, pos, payload) == serve::FrameScan::kNeedMore) {
+    pollfd readable{other, POLLIN, 0};
+    if (::poll(&readable, 1, 5000) <= 0) break;
+    std::uint8_t chunk[256];
+    const ssize_t got = ::read(other, chunk, sizeof(chunk));
+    if (got <= 0) break;
+    in.insert(in.end(), chunk, chunk + got);
+  }
+  // Shut the stalled socket before any assertion can return, so a server
+  // blocked writing to it returns and the teardown cannot hang.
+  ::shutdown(stalled, SHUT_RDWR);
+  ::close(stalled);
+  ::close(other);
+  const std::optional<Response> reply = serve::decode_response(payload);
+  ASSERT_TRUE(reply.has_value()) << "no reply within 5 s";
+  EXPECT_EQ(reply->id, 7u);
+  EXPECT_EQ(reply->status, Status::kOk);
+  server.stop();
+  core.stop();
+}
+
+// Unregistering the cycle hook waits for a hook that is running, so a
+// transport can release what its hook writes to as soon as it returns.
+TEST(ServeCore, SetCycleHookWaitsForARunningHook) {
+  ServeFixture& f = fixture();
+  serve::ServeCore core(*f.model, f.normalizer, {f.design}, f.options());
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  core.set_cycle_hook([&] {
+    entered = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    finished = true;
+  });
+  core.submit(f.link_request(1, 0, 1), [](const Response&) {});
+  std::thread cycle([&core] { core.run_cycle(); });
+  while (!entered) std::this_thread::yield();
+  core.set_cycle_hook({});
+  EXPECT_TRUE(finished);
+  cycle.join();
 }
 
 // Access log: every finished request appends one cgps-serve-access-v1 JSONL

@@ -13,10 +13,11 @@
 //   cgps_serve --demo [--designs ...]
 //
 // --demo serves a small randomly initialized model (CI smoke / protocol
-// debugging without a trained checkpoint). Flag defaults come from the
-// CIRCUITGPS_SERVE_* environment variables (see docs/OPERATIONS.md); set
-// CIRCUITGPS_SERVE_ACCESS_LOG / CIRCUITGPS_SERVE_SLOW_MS for the per-request
-// access log, and poll live stats with cgps_top (kStats over the wire).
+// debugging without a trained checkpoint). The integer flags default to
+// serve::kDefaultPort and serve::ServeOptions{}, and a value out of range
+// exits 2. Set CIRCUITGPS_SERVE_ACCESS_LOG / CIRCUITGPS_SERVE_SLOW_MS for the
+// per-request access log (see docs/OPERATIONS.md), and poll live stats with
+// cgps_top (kStats over the wire).
 // SIGINT/SIGTERM drain the admission queue before exiting: every accepted
 // request is answered, late submissions are rejected with status `shutdown`.
 #include "exec/backend.hpp"
@@ -56,18 +57,21 @@ static_assert(std::atomic<int>::is_always_lock_free);
 
 void on_signal(int) { g_stop = 1; }
 
+const cgps::serve::ServeOptions kDefaults{};
+
 struct Args {
   std::string checkpoint;
   std::string designs = "TIMING_CONTROL";
-  int port = cgps::env_serve_port();
-  int max_batch = cgps::env_serve_max_batch();
-  int queue_cap = cgps::env_serve_queue_cap();
-  int deadline_ms = cgps::env_serve_deadline_ms();
+  int port = cgps::serve::kDefaultPort;
+  int max_batch = kDefaults.max_batch;
+  int queue_cap = kDefaults.queue_cap;
+  int deadline_ms = static_cast<int>(kDefaults.default_deadline_us / 1000);
   bool demo = false;
   bool help = false;
 };
 
 void print_usage() {
+  const Args defaults;
   std::cout
       << "usage: cgps_serve --checkpoint PATH [options]\n"
          "       cgps_serve --demo [options]\n"
@@ -77,24 +81,28 @@ void print_usage() {
          "  --designs LIST      comma-separated design names (default TIMING_CONTROL)\n"
          "                      SSRAM ULTRA8T SANDWICH-RAM DIGITAL_CLK_GEN\n"
          "                      TIMING_CONTROL ARRAY_128_32\n"
-         "  --port N            TCP port on 127.0.0.1, 0 = ephemeral "
-         "(default CIRCUITGPS_SERVE_PORT)\n"
-         "  --max-batch N       coalesced batch cap (default CIRCUITGPS_SERVE_MAX_BATCH)\n"
-         "  --queue-cap N       admission queue bound (default CIRCUITGPS_SERVE_QUEUE_CAP)\n"
-         "  --deadline-ms N     default request deadline "
-         "(default CIRCUITGPS_SERVE_DEADLINE_MS)\n";
+         "  --port N            TCP port on 127.0.0.1, 0 = ephemeral (default "
+      << defaults.port << ")\n"
+      << "  --max-batch N       coalesced batch cap (default " << defaults.max_batch << ")\n"
+      << "  --queue-cap N       admission queue bound (default " << defaults.queue_cap << ")\n"
+      << "  --deadline-ms N     default request deadline (default " << defaults.deadline_ms
+      << ")\n";
 }
 
+// An integer flag and the range the daemon accepts for it.
+struct IntFlag {
+  const char* name;
+  long long min, max;
+  int* value;
+};
+
 bool parse_args(int argc, char** argv, Args& args) {
+  const IntFlag int_flags[] = {{"--port", 0, 65535, &args.port},
+                               {"--max-batch", 1, 4096, &args.max_batch},
+                               {"--queue-cap", 1, 1 << 20, &args.queue_cap},
+                               {"--deadline-ms", 1, 3600000, &args.deadline_ms}};
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "cgps_serve: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
     if (flag == "--help" || flag == "-h") {
       args.help = true;
       return true;
@@ -103,30 +111,28 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.demo = true;
       continue;
     }
-    const char* value = nullptr;
-    if (flag == "--checkpoint" || flag == "--designs" || flag == "--port" ||
-        flag == "--max-batch" || flag == "--queue-cap" || flag == "--deadline-ms") {
-      value = next();
-      if (value == nullptr) return false;
-    } else {
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& f : int_flags)
+      if (flag == f.name) int_flag = &f;
+    if (int_flag == nullptr && flag != "--checkpoint" && flag != "--designs") {
       std::cerr << "cgps_serve: unknown flag " << flag << "\n";
       return false;
     }
+    if (i + 1 >= argc) {
+      std::cerr << "cgps_serve: " << flag << " needs a value\n";
+      return false;
+    }
+    const char* value = argv[++i];
     if (flag == "--checkpoint") args.checkpoint = value;
     if (flag == "--designs") args.designs = value;
+    if (int_flag == nullptr) continue;
     const std::optional<long long> n = cgps::parse_env_int(value);
-    if (flag == "--port" || flag == "--max-batch" || flag == "--queue-cap" ||
-        flag == "--deadline-ms") {
-      if (!n.has_value() || *n < 0) {
-        std::cerr << "cgps_serve: " << flag << " wants a non-negative integer, got '"
-                  << value << "'\n";
-        return false;
-      }
-      if (flag == "--port") args.port = static_cast<int>(*n);
-      if (flag == "--max-batch") args.max_batch = static_cast<int>(*n);
-      if (flag == "--queue-cap") args.queue_cap = static_cast<int>(*n);
-      if (flag == "--deadline-ms") args.deadline_ms = static_cast<int>(*n);
+    if (!n.has_value() || *n < int_flag->min || *n > int_flag->max) {
+      std::cerr << "cgps_serve: " << flag << " wants an integer in [" << int_flag->min << ", "
+                << int_flag->max << "], got '" << value << "'\n";
+      return false;
     }
+    *int_flag->value = static_cast<int>(*n);
   }
   return true;
 }

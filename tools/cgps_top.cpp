@@ -30,7 +30,7 @@ namespace {
 
 struct Args {
   std::string host = "127.0.0.1";
-  int port = cgps::env_serve_port();
+  int port = cgps::serve::kDefaultPort;
   int interval_ms = 1000;
   std::int64_t count = 0;  // 0 = poll until the connection drops
   bool json = false;
@@ -41,12 +41,13 @@ void print_usage() {
   std::printf(
       "usage: cgps_top [options]\n"
       "\n"
-      "  --connect HOST:PORT  daemon to poll (default 127.0.0.1:CIRCUITGPS_SERVE_PORT)\n"
+      "  --connect HOST:PORT  daemon to poll (default 127.0.0.1:%d)\n"
       "  --interval-ms N      poll interval (default 1000)\n"
       "  --count N            stop after N snapshots (default: until killed)\n"
       "  --once               shorthand for --count 1\n"
       "  --json               print raw cgps-serve-stats-v1 JSON instead of the\n"
-      "                       dashboard (with --once: one document on stdout)\n");
+      "                       dashboard (with --once: one document on stdout)\n",
+      cgps::serve::kDefaultPort);
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
