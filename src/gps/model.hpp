@@ -37,10 +37,9 @@ class GpsLayer final : public nn::Module {
   };
   State forward(const State& in, const SubgraphBatch& batch, Rng& rng);
 
-  // Plan-recorder access (src/exec/gps_program.cpp): the attention modules
-  // hold per-head state (frozen Performer features) not reachable through
+  // Plan-recorder access (src/exec/gps_program.cpp): the Performer holds
+  // per-head state (frozen features) not reachable through
   // named_parameters().
-  const nn::MultiheadSelfAttention* softmax_attn() const { return attn_softmax_.get(); }
   const nn::PerformerAttention* performer() const { return attn_performer_.get(); }
 
  private:

@@ -31,8 +31,6 @@ struct CircuitGraph {
     return n_nets + n_devices + flat_pin;
   }
 
-  bool is_net_node(std::int32_t v) const { return v < n_nets; }
-  bool is_pin_node(std::int32_t v) const { return v >= n_nets + n_devices; }
   std::int32_t node_to_net(std::int32_t v) const { return v; }
   std::int32_t node_to_pin(std::int32_t v) const { return v - n_nets - n_devices; }
 

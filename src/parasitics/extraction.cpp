@@ -6,15 +6,6 @@
 
 namespace cgps {
 
-const char* coupling_kind_name(CouplingKind kind) {
-  switch (kind) {
-    case CouplingKind::kPinToNet: return "pin-net";
-    case CouplingKind::kPinToPin: return "pin-pin";
-    case CouplingKind::kNetToNet: return "net-net";
-  }
-  return "?";
-}
-
 std::int64_t ExtractionResult::count(CouplingKind kind) const {
   std::int64_t total = 0;
   for (const CouplingLink& link : links)

@@ -27,8 +27,6 @@ enum class CouplingKind : std::int8_t {
   kNetToNet = 4,
 };
 
-const char* coupling_kind_name(CouplingKind kind);
-
 // Endpoints are type-dependent:
 //  kPinToNet: a = flat pin index, b = net index
 //  kPinToPin: a, b = flat pin indices (a < b)

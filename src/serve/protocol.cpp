@@ -38,7 +38,7 @@ bool version_ok(std::uint8_t version) {
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
   std::vector<std::uint8_t> out;
-  out.reserve(31);
+  out.reserve(32);
   put(out, kRequestMagic);
   // Layout unchanged since v1; the v1 stamp keeps old servers answering.
   put(out, kMinProtocolVersion);

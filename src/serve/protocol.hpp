@@ -5,7 +5,7 @@
 // pure byte-vector transforms (no sockets) so the framing is unit-testable
 // and fuzzable without I/O.
 //
-//   request payload  (31 bytes): "CGRQ" u8:ver u64:id u16:design u8:task
+//   request payload  (32 bytes): "CGRQ" u8:ver u64:id u16:design u8:task
 //                                i32:node_a i32:node_b i64:deadline_us
 //   response payload (34 bytes): "CGRS" u8:ver u64:id u8:status f32:value
 //                                f64:cap_farads i64:server_us

@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fcntl.h>
 #include <memory>
@@ -27,6 +28,10 @@ namespace {
 // one read's worth of its replies is unsent, so a client that never reads
 // holds about two reads of replies plus its queued requests.
 constexpr std::size_t kReadBytes = std::size_t{64} * 1024;
+
+// How long stop() keeps sending what connections are still owed before it
+// closes them anyway (a peer that never reads would hold it forever).
+constexpr std::chrono::milliseconds kStopFlush{1000};
 
 // Replies waiting for the loop to send them. The response callbacks share
 // it, so it outlives its connection, and the server, while the core drains
@@ -208,6 +213,31 @@ void ServeServer::loop() {
       }
     }
     active.set(static_cast<double>(conns.size()));
+  }
+
+  // stop(): read nothing more, send each connection what it is still owed,
+  // and close it once that is sent, its peer is gone, or kStopFlush passes.
+  const auto until = std::chrono::steady_clock::now() + kStopFlush;
+  for (Connection& c : conns) take_outbox(c);
+  for (;;) {
+    std::erase_if(conns, [](const Connection& c) {
+      if (!c.out.empty()) return false;
+      close_fd(c.fd);
+      return true;
+    });
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        until - std::chrono::steady_clock::now());
+    if (conns.empty() || left.count() <= 0) break;
+    fds.clear();
+    for (const Connection& c : conns) fds.push_back({c.fd, POLLOUT, 0});
+    if (::poll(fds.data(), fds.size(), static_cast<int>(left.count())) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      if ((fds[i].revents & POLLOUT) == 0 || !send_some(conns[i])) conns[i].out.clear();
+    }
   }
   for (const Connection& c : conns) close_fd(c.fd);
   active.set(0.0);

@@ -30,9 +30,15 @@ class ServeServer {
   // (port in use, no permission) — error already logged.
   bool start();
 
-  // Stop the loop and close every socket; replies not yet sent are dropped.
-  // The core is NOT stopped — callers own its drain (tools/cgps_serve stops
-  // the server first, then drains the core, so accepted work still completes).
+  // Stop reading and accepting, send each connection the replies it is
+  // still owed, then close every socket. Sending ends when all of it is
+  // sent, when the peer is gone, or after a fixed bound of about a second
+  // (a client that never reads cannot hold stop() up). The core is NOT
+  // stopped, so several servers can share one core: to answer every admitted
+  // request on the wire, drain the core first (tools/cgps_serve calls
+  // core.stop(), then stop(); frames that arrive during the drain are
+  // answered kShutdown). Replies the core finishes after stop() began are
+  // dropped.
   void stop();
 
   int port() const { return port_; }
@@ -45,7 +51,8 @@ class ServeServer {
   int port_ = 0;
   int listen_fd_ = -1;
   // The cycle hook writes one byte to wake_[1] per batching cycle. stop()
-  // closes wake_[1]; the loop exits when wake_[0] reads end of file.
+  // closes wake_[1]; on wake_[0]'s end of file the loop stops reading, sends
+  // what it still owes, and exits.
   int wake_[2] = {-1, -1};
   std::thread thread_;
 };

@@ -130,39 +130,6 @@ Tensor add_rowvec(const Tensor& x, const Tensor& row) {
   return out;
 }
 
-Tensor mul_rowvec(const Tensor& x, const Tensor& row) {
-  check_rowvec("mul_rowvec", x, row);
-  const bool track = grad_enabled_for({&x, &row});
-  Tensor out = Tensor::make(
-      x.rows(), x.cols(), track, {x.ptr(), row.ptr()}, [px = x.ptr(), pr = row.ptr()](Node& n) {
-        const std::int64_t m = n.rows;
-        const std::int64_t c = n.cols;
-        if (px->requires_grad) {
-          par::parallel_for(0, m, par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t i = i0; i < i1; ++i)
-              for (std::int64_t j = 0; j < c; ++j)
-                px->grad[i * c + j] += n.grad[i * c + j] * pr->value[j];
-          });
-        }
-        if (pr->requires_grad) {
-          par::parallel_for(0, c, par::grain_for(m), [&](std::int64_t j0, std::int64_t j1) {
-            for (std::int64_t i = 0; i < m; ++i)
-              for (std::int64_t j = j0; j < j1; ++j)
-                pr->grad[j] += n.grad[i * c + j] * px->value[i * c + j];
-          });
-        }
-      });
-  const float* xv = x.data().data();
-  const float* rv = row.data().data();
-  float* ov = out.data().data();
-  const std::int64_t c = x.cols();
-  par::parallel_for(0, x.rows(), par::grain_for(c), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i)
-      for (std::int64_t j = 0; j < c; ++j) ov[i * c + j] = xv[i * c + j] * rv[j];
-  });
-  return out;
-}
-
 namespace {
 
 // Row-times-column broadcast over kern::colvec_fwd/colvec_bwd; bwd(x, col,
@@ -240,39 +207,15 @@ Tensor sigmoid(const Tensor& x) {
                            [](float, float y, float dy) { return kern::sigmoid1_bwd(y, dy); });
 }
 
-Tensor tanh_op(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return std::tanh(v); },
-      [](float, float y, float dy) { return dy * (1.0f - y * y); });
-}
-
 Tensor exp_op(const Tensor& x) {
   return elementwise_unary(
       x, [](float v) { return std::exp(v); },
       [](float, float y, float dy) { return dy * y; });
 }
 
-Tensor log_op(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return std::log(v); },
-      [](float v, float, float dy) { return dy / v; });
-}
-
-Tensor sqrt_op(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return std::sqrt(v); },
-      [](float, float y, float dy) { return y > 0.0f ? dy * 0.5f / y : 0.0f; });
-}
-
 Tensor square(const Tensor& x) {
   return elementwise_unary(x, kern::square1,
                            [](float v, float, float dy) { return kern::square1_bwd(v, dy); });
-}
-
-Tensor abs_op(const Tensor& x) {
-  return elementwise_unary(
-      x, [](float v) { return std::fabs(v); },
-      [](float v, float, float dy) { return v >= 0.0f ? dy : -dy; });
 }
 
 // --------------------------------------------------------------- lin. alg --
@@ -435,11 +378,6 @@ Tensor scatter_add_rows(const Tensor& x, const std::vector<std::int32_t>& idx,
   kern::scatter_add_fwd(x.data().data(), idx.data(), static_cast<std::int64_t>(idx.size()), c,
                         out_rows, out.data().data());
   return out;
-}
-
-Tensor segment_sum(const Tensor& x, const std::vector<std::int32_t>& seg,
-                   std::int64_t n_segments) {
-  return scatter_add_rows(x, seg, n_segments);
 }
 
 Tensor segment_mean(const Tensor& x, const std::vector<std::int32_t>& seg,
@@ -609,32 +547,6 @@ Tensor mse_loss(const Tensor& pred, const Tensor& target) {
                       static_cast<std::int64_t>(pp->value.size()), pp->grad.data());
       });
   out.data()[0] = kern::mse_fwd(pred.data().data(), target.data().data(), n);
-  return out;
-}
-
-Tensor l1_loss(const Tensor& pred, const Tensor& target) {
-  check_same_shape("l1_loss", pred, target);
-  const std::int64_t n = pred.numel();
-  const float inv_n = 1.0f / static_cast<float>(n);
-  const bool track = grad_enabled_for({&pred});
-  Tensor out = Tensor::make(
-      1, 1, track, {pred.ptr(), target.ptr()},
-      [pp = pred.ptr(), pt = target.ptr(), inv_n](Node& node) {
-        if (!pp->requires_grad) return;
-        const float dy = node.grad[0];
-        const std::int64_t total = static_cast<std::int64_t>(pp->value.size());
-        par::parallel_for(0, total, par::grain_for(1), [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const float d = pp->value[i] - pt->value[i];
-            pp->grad[i] += dy * inv_n * (d >= 0.0f ? 1.0f : -1.0f);
-          }
-        });
-      });
-  float loss = 0.0f;
-  auto pv = pred.data();
-  auto tv = target.data();
-  for (std::int64_t i = 0; i < n; ++i) loss += std::fabs(pv[i] - tv[i]);
-  out.data()[0] = loss * inv_n;
   return out;
 }
 

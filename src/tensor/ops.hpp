@@ -6,7 +6,7 @@
 // we throw std::invalid_argument with the offending shapes.
 //
 // Naming: ops that would shadow <cmath> get a trailing underscore-free
-// distinct name (exp_op, log_op, ...).
+// distinct name (exp_op).
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -29,7 +29,6 @@ Tensor div(const Tensor& a, const Tensor& b);
 
 // ---- Broadcast against a row vector (1, n) or column vector (m, 1) ------
 Tensor add_rowvec(const Tensor& x, const Tensor& row);
-Tensor mul_rowvec(const Tensor& x, const Tensor& row);
 Tensor add_colvec(const Tensor& x, const Tensor& col);
 Tensor sub_colvec(const Tensor& x, const Tensor& col);
 Tensor mul_colvec(const Tensor& x, const Tensor& col);
@@ -43,12 +42,8 @@ Tensor add_scalar(const Tensor& x, float s);
 Tensor neg(const Tensor& x);
 Tensor relu(const Tensor& x);
 Tensor sigmoid(const Tensor& x);
-Tensor tanh_op(const Tensor& x);
 Tensor exp_op(const Tensor& x);
-Tensor log_op(const Tensor& x);   // requires strictly positive input
-Tensor sqrt_op(const Tensor& x);  // requires non-negative input
 Tensor square(const Tensor& x);
-Tensor abs_op(const Tensor& x);
 
 // ---- Linear algebra --------------------------------------------------------
 Tensor matmul(const Tensor& a, const Tensor& b);
@@ -66,8 +61,6 @@ Tensor gather_rows(const Tensor& x, const std::vector<std::int32_t>& idx);
 Tensor scatter_add_rows(const Tensor& x, const std::vector<std::int32_t>& idx,
                         std::int64_t out_rows);
 // Segment pooling: seg[i] in [0, n_segments) maps row i of x to a segment.
-Tensor segment_sum(const Tensor& x, const std::vector<std::int32_t>& seg,
-                   std::int64_t n_segments);
 Tensor segment_mean(const Tensor& x, const std::vector<std::int32_t>& seg,
                     std::int64_t n_segments);
 
@@ -94,7 +87,6 @@ Tensor batchnorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 // Binary cross entropy on logits, numerically stable; mean over elements.
 Tensor bce_with_logits(const Tensor& logits, const Tensor& targets);
 Tensor mse_loss(const Tensor& pred, const Tensor& target);
-Tensor l1_loss(const Tensor& pred, const Tensor& target);
 // Softmax cross entropy; logits (n, K), labels[i] in [0, K). Mean over rows.
 Tensor softmax_cross_entropy(const Tensor& logits, const std::vector<std::int32_t>& labels);
 

@@ -23,29 +23,6 @@ double Optimizer::clip_grad_norm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum, float weight_decay)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    velocity_[i].assign(params_[i].data().size(), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto value = params_[i].data();
-    auto grad = params_[i].grad();
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      float g = grad[j] + weight_decay_ * value[j];
-      if (momentum_ != 0.0f) {
-        vel[j] = momentum_ * vel[j] + g;
-        g = vel[j];
-      }
-      value[j] -= lr_ * g;
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2, float eps,
            float weight_decay)
     : Optimizer(std::move(params)),

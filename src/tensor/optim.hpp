@@ -25,19 +25,6 @@ class Optimizer {
   std::vector<Tensor> params_;
 };
 
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  float weight_decay_;
-  std::vector<std::vector<float>> velocity_;
-};
-
 class Adam final : public Optimizer {
  public:
   Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,

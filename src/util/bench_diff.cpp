@@ -1,7 +1,6 @@
 #include "util/bench_diff.hpp"
 
 #include "util/json_writer.hpp"
-#include "util/strings.hpp"
 #include "util/table.hpp"
 
 #include <algorithm>
@@ -60,6 +59,79 @@ std::optional<MetricDirection> direction_from_token(std::string_view token) {
   if (token == "up") return MetricDirection::kHigherIsBetter;
   if (token == "both") return MetricDirection::kTwoSided;
   return std::nullopt;
+}
+
+using Metrics = std::vector<std::pair<std::string, double>>;
+
+// What a comparison reads of a report: its metrics, then wall_seconds when
+// asked for.
+Metrics metrics_of(const BenchReportView& report, bool include_wall) {
+  Metrics m = report.metrics;
+  if (include_wall) m.emplace_back("wall_seconds", report.wall_seconds);
+  return m;
+}
+
+const double* find_value(const Metrics& metrics, std::string_view name) {
+  for (const auto& [metric, value] : metrics)
+    if (metric == name) return &value;
+  return nullptr;
+}
+
+// The flags of both CLIs; --last and --bench only where `last_n` and
+// `bench` are given (the trend). False, with the message in `out`, on a bad
+// flag or value.
+bool parse_flags(int argc, const char* const* argv, BenchDiffOptions& options,
+                 std::size_t* last_n, std::string* bench, std::vector<std::string>& positional,
+                 std::string& out) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto value = [&](const char* what) -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      out += std::string(arg) + " needs " + what + "\n";
+      return nullptr;
+    };
+    if (arg == "--tolerance-pct") {
+      const char* v = value("a value");
+      if (v == nullptr) return false;
+      try {
+        options.tolerance_pct = std::stod(v);
+      } catch (...) {
+        out += "--tolerance-pct: not a number\n";
+        return false;
+      }
+      if (options.tolerance_pct < 0) {
+        out += "--tolerance-pct must be >= 0\n";
+        return false;
+      }
+    } else if (arg == "--include-wall") {
+      options.include_wall = true;
+    } else if (arg == "--skip") {
+      const char* v = value("a substring");
+      if (v == nullptr) return false;
+      options.skip.emplace_back(v);
+    } else if (arg == "--last" && last_n != nullptr) {
+      const char* v = value("a count");
+      if (v == nullptr) return false;
+      try {
+        const int n = std::stoi(v);
+        if (n < 1) throw std::invalid_argument("non-positive");
+        *last_n = static_cast<std::size_t>(n);
+      } catch (...) {
+        out += "--last: want a positive integer\n";
+        return false;
+      }
+    } else if (arg == "--bench" && bench != nullptr) {
+      const char* v = value("a name");
+      if (v == nullptr) return false;
+      *bench = v;
+    } else if (!arg.empty() && arg[0] == '-') {
+      out += "unknown flag: " + std::string(arg) + "\n";
+      return false;
+    } else {
+      positional.emplace_back(arg);
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -134,6 +206,15 @@ std::optional<BenchReportView> parse_bench_report(std::string_view text, std::st
       view.directions.emplace_back(name, *dir);
     }
   }
+  for (const auto& [name, value] : view.metrics) {
+    if (std::none_of(view.directions.begin(), view.directions.end(),
+                     [&name = name](const auto& d) { return d.first == name; })) {
+      if (error)
+        *error = "metric \"" + name +
+                 "\" has no entry in \"directions\" (want \"down\", \"up\", or \"both\")";
+      return std::nullopt;
+    }
+  }
   if (const JsonValue* wall = doc->find("wall_seconds");
       wall != nullptr && wall->type == JsonValue::Type::kNumber) {
     view.wall_seconds = wall->number;
@@ -156,43 +237,20 @@ std::optional<BenchReportView> load_bench_report(const std::string& path, std::s
   return view;
 }
 
-bool metric_higher_is_better(std::string_view name) {
-  static constexpr std::string_view kHigherBetter[] = {
-      "auc", "acc", "f1", "r2", "precision", "recall", "score", "hit", "throughput",
-  };
-  const std::string lowered = to_lower(name);
-  for (const std::string_view token : kHigherBetter) {
-    if (lowered.find(token) != std::string::npos) return true;
-  }
-  return false;
-}
-
 MetricDirection metric_direction(const BenchReportView& report, std::string_view name) {
   for (const auto& [metric, direction] : report.directions)
     if (metric == name) return direction;
-  return metric_higher_is_better(name) ? MetricDirection::kHigherIsBetter
-                                       : MetricDirection::kLowerIsBetter;
+  return MetricDirection::kLowerIsBetter;  // wall_seconds, which no report declares
 }
 
 BenchDiffResult diff_bench_reports(const BenchReportView& baseline,
                                    const BenchReportView& candidate,
                                    const BenchDiffOptions& options) {
-  auto metrics_of = [&options](const BenchReportView& r) {
-    std::vector<std::pair<std::string, double>> m = r.metrics;
-    if (options.include_wall) m.emplace_back("wall_seconds", r.wall_seconds);
-    return m;
-  };
-  const auto base = metrics_of(baseline);
-  const auto cand = metrics_of(candidate);
-  auto find_in = [](const std::vector<std::pair<std::string, double>>& m,
-                    const std::string& name) -> const double* {
-    for (const auto& [n, v] : m)
-      if (n == name) return &v;
-    return nullptr;
-  };
+  const Metrics base = metrics_of(baseline, options.include_wall);
+  const Metrics cand = metrics_of(candidate, options.include_wall);
   // Baseline metadata wins: the committed baseline is the contract. A metric
   // only the candidate declares (e.g. a newly added one) uses the
-  // candidate's; reports without metadata fall back to the name heuristic.
+  // candidate's.
   auto direction_of = [&](const std::string& name) {
     for (const auto& [metric, direction] : baseline.directions)
       if (metric == name) return direction;
@@ -207,7 +265,7 @@ BenchDiffResult diff_bench_reports(const BenchReportView& baseline,
     row.baseline = base_value;
     row.direction = direction_of(name);
     const bool skipped = matches_skip(options.skip, name);
-    if (const double* cand_value = find_in(cand, name)) {
+    if (const double* cand_value = find_value(cand, name)) {
       row.in_candidate = true;
       row.candidate = *cand_value;
       row.delta_pct = relative_delta_pct(row.baseline, row.candidate);
@@ -231,7 +289,7 @@ BenchDiffResult diff_bench_reports(const BenchReportView& baseline,
     result.rows.push_back(std::move(row));
   }
   for (const auto& [name, cand_value] : cand) {
-    if (find_in(base, name) != nullptr) continue;
+    if (find_value(base, name) != nullptr) continue;
     BenchDiffRow row;
     row.metric = name;
     row.in_candidate = true;
@@ -279,38 +337,7 @@ std::string render_bench_diff(const BenchReportView& baseline,
 int bench_diff_main(int argc, const char* const* argv, std::string& out) {
   BenchDiffOptions options;
   std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--tolerance-pct") {
-      if (i + 1 >= argc) {
-        out += "--tolerance-pct needs a value\n";
-        return 2;
-      }
-      try {
-        options.tolerance_pct = std::stod(argv[++i]);
-      } catch (...) {
-        out += "--tolerance-pct: not a number\n";
-        return 2;
-      }
-      if (options.tolerance_pct < 0) {
-        out += "--tolerance-pct must be >= 0\n";
-        return 2;
-      }
-    } else if (arg == "--include-wall") {
-      options.include_wall = true;
-    } else if (arg == "--skip") {
-      if (i + 1 >= argc) {
-        out += "--skip needs a substring\n";
-        return 2;
-      }
-      options.skip.emplace_back(argv[++i]);
-    } else if (!arg.empty() && arg[0] == '-') {
-      out += "unknown flag: " + std::string(arg) + "\n";
-      return 2;
-    } else {
-      paths.emplace_back(arg);
-    }
-  }
+  if (!parse_flags(argc, argv, options, nullptr, nullptr, paths, out)) return 2;
   if (paths.size() != 2) {
     out +=
         "usage: cgps_bench_diff <baseline.json> <candidate.json> "
@@ -364,71 +391,52 @@ BenchTrendResult trend_bench_reports(const std::vector<BenchReportView>& series,
   BenchTrendResult result;
   const std::size_t begin =
       options.last_n > 0 && options.last_n < series.size() ? series.size() - options.last_n : 0;
-  const std::size_t n = series.size() - begin;
-  result.reports = n;
-  if (n == 0) return result;
+  result.reports = series.size() - begin;
+  if (result.reports == 0) return result;
   result.bench = series[begin].bench;
   result.first_git = series[begin].git;
   result.last_git = series.back().git;
 
-  auto metrics_of = [&options](const BenchReportView& r) {
-    std::vector<std::pair<std::string, double>> m = r.metrics;
-    if (options.include_wall) m.emplace_back("wall_seconds", r.wall_seconds);
-    return m;
-  };
-
-  // Metric universe ordered by first appearance, oldest report first, so the
-  // trend table reads like the oldest report plus later additions.
-  std::vector<std::string> universe;
+  std::vector<Metrics> window;
   for (std::size_t i = begin; i < series.size(); ++i)
-    for (const auto& [name, value] : metrics_of(series[i]))
-      if (std::find(universe.begin(), universe.end(), name) == universe.end())
-        universe.push_back(name);
+    window.push_back(metrics_of(series[i], options.include_wall));
 
-  for (const std::string& name : universe) {
+  // The verdict is the diff of the newest report against each metric's
+  // oldest value in the reports before it. wall_seconds is already in
+  // `window`, at its first appearance. The candidate carries every
+  // direction: the newest report's own first (they win), then each older
+  // metric's from the report it came from.
+  BenchReportView oldest;
+  BenchReportView newest = series.back();
+  newest.metrics = window.back();
+  for (std::size_t i = 0; i + 1 < window.size(); ++i) {
+    for (const auto& [name, value] : window[i]) {
+      if (find_value(oldest.metrics, name) != nullptr) continue;
+      oldest.metrics.emplace_back(name, value);
+      newest.directions.emplace_back(name, metric_direction(series[begin + i], name));
+    }
+  }
+  BenchDiffOptions diff_options = options;
+  diff_options.include_wall = false;
+  const BenchDiffResult diff = diff_bench_reports(oldest, newest, diff_options);
+
+  result.drifts = diff.regressions;
+  for (const BenchDiffRow& verdict : diff.rows) {
     BenchTrendRow row;
-    row.metric = name;
-    // Newest report's metadata wins — it reflects the current bench source.
-    row.direction = metric_direction(series.back(), name);
+    row.metric = verdict.metric;
+    row.direction = verdict.direction;
+    row.status = verdict.status == "REGRESSED" ? "DRIFTED" : verdict.status;
     std::vector<double> values;
-    bool in_latest = false;
-    for (std::size_t i = begin; i < series.size(); ++i) {
-      for (const auto& [metric, value] : metrics_of(series[i])) {
-        if (metric != name) continue;
-        values.push_back(value);
-        if (i + 1 == series.size()) in_latest = true;
-        break;
-      }
-    }
+    for (const Metrics& metrics : window)
+      if (const double* v = find_value(metrics, row.metric)) values.push_back(*v);
     row.present = static_cast<int>(values.size());
-    if (!values.empty()) {
-      row.first = values.front();
-      row.last = values.back();
-      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-      row.min = *lo;
-      row.max = *hi;
-      row.delta_pct = relative_delta_pct(row.first, row.last);
-      row.spark = spark_line(values);
-    }
-    const bool skipped = matches_skip(options.skip, name);
-    if (skipped) {
-      row.status = "skipped";
-    } else if (!in_latest) {
-      row.status = "MISSING";  // tracked metric vanished from the newest report
-      ++result.drifts;
-    } else if (values.size() <= 1) {
-      row.status = "new";
-    } else {
-      const double worse = bad_move(row.direction, row.delta_pct);
-      if (worse > options.tolerance_pct) {
-        row.status = "DRIFTED";
-        ++result.drifts;
-      } else if (worse < -options.tolerance_pct) {
-        row.status = "improved";
-      } else {
-        row.status = "ok";
-      }
-    }
+    row.first = values.front();
+    row.last = values.back();
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    row.min = *lo;
+    row.max = *hi;
+    row.delta_pct = relative_delta_pct(row.first, row.last);
+    row.spark = spark_line(values);
     result.rows.push_back(std::move(row));
   }
   return result;
@@ -476,57 +484,7 @@ int bench_trend_main(int argc, const char* const* argv, std::string& out) {
   BenchTrendOptions options;
   std::string bench_filter;
   std::vector<std::string> inputs;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--tolerance-pct") {
-      if (i + 1 >= argc) {
-        out += "--tolerance-pct needs a value\n";
-        return 2;
-      }
-      try {
-        options.tolerance_pct = std::stod(argv[++i]);
-      } catch (...) {
-        out += "--tolerance-pct: not a number\n";
-        return 2;
-      }
-      if (options.tolerance_pct < 0) {
-        out += "--tolerance-pct must be >= 0\n";
-        return 2;
-      }
-    } else if (arg == "--last") {
-      if (i + 1 >= argc) {
-        out += "--last needs a count\n";
-        return 2;
-      }
-      try {
-        const int n = std::stoi(argv[++i]);
-        if (n < 1) throw std::invalid_argument("non-positive");
-        options.last_n = static_cast<std::size_t>(n);
-      } catch (...) {
-        out += "--last: want a positive integer\n";
-        return 2;
-      }
-    } else if (arg == "--bench") {
-      if (i + 1 >= argc) {
-        out += "--bench needs a name\n";
-        return 2;
-      }
-      bench_filter = argv[++i];
-    } else if (arg == "--skip") {
-      if (i + 1 >= argc) {
-        out += "--skip needs a substring\n";
-        return 2;
-      }
-      options.skip.emplace_back(argv[++i]);
-    } else if (arg == "--include-wall") {
-      options.include_wall = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      out += "unknown flag: " + std::string(arg) + "\n";
-      return 2;
-    } else {
-      inputs.emplace_back(arg);
-    }
-  }
+  if (!parse_flags(argc, argv, options, &options.last_n, &bench_filter, inputs, out)) return 2;
   if (inputs.empty()) {
     out +=
         "usage: cgps_bench_trend <history-dir | report.json...> [--bench NAME] "

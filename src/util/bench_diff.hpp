@@ -14,9 +14,9 @@
 
 namespace cgps {
 
-// Per-metric regression direction. Reports written since the "directions"
-// payload exists carry one explicitly per metric; for older reports a name
-// heuristic (metric_higher_is_better) fills the gap.
+// Per-metric regression direction. Every report declares one per metric in
+// its "directions" object; the only undeclared metric, wall_seconds (read
+// with --include-wall), is lower-is-better.
 enum class MetricDirection {
   kLowerIsBetter,   // losses, errors, latencies — regress when they rise
   kHigherIsBetter,  // quality scores — regress when they drop
@@ -34,15 +34,16 @@ struct BenchReportView {
   std::string git;     // producing commit ("unknown" outside a checkout)
   std::string source;  // file path or label; trend tables cite it
   std::vector<std::pair<std::string, double>> metrics;
-  // Explicit per-metric directions from the optional "directions" object.
+  // Per-metric directions from the "directions" object (one per metric).
   std::vector<std::pair<std::string, MetricDirection>> directions;
   double wall_seconds = 0.0;
 };
 
 // Parse + validate a cgps-bench-v1 document. Requires schema ==
-// "cgps-bench-v1", a string "bench", and an all-numeric "metrics" object.
-// An optional "directions" object maps metric names to "down"/"up"/"both".
-// Returns nullopt and fills `error` (if given) on malformed input.
+// "cgps-bench-v1", a string "bench", an all-numeric "metrics" object, and a
+// "directions" object mapping every metric to "down"/"up"/"both". Returns
+// nullopt and fills `error` (if given, naming the metric when one has no
+// direction) on malformed input.
 std::optional<BenchReportView> parse_bench_report(std::string_view text,
                                                   std::string* error = nullptr);
 
@@ -51,14 +52,8 @@ std::optional<BenchReportView> parse_bench_report(std::string_view text,
 std::optional<BenchReportView> load_bench_report(const std::string& path,
                                                  std::string* error = nullptr);
 
-// Direction heuristic for reports without explicit metadata: quality scores
-// (auc / acc / f1 / r2 / precision / recall / score / hit / throughput)
-// regress when they *drop*; everything else (losses, errors, latencies,
-// counts) regresses when it *rises*.
-bool metric_higher_is_better(std::string_view name);
-
-// The direction for `name`: the report's explicit entry when present, the
-// name heuristic otherwise.
+// The direction the report declares for `name`; lower-is-better for a name
+// it does not declare (wall_seconds).
 MetricDirection metric_direction(const BenchReportView& report, std::string_view name);
 
 struct BenchDiffOptions {
@@ -94,7 +89,7 @@ struct BenchDiffResult {
 // then candidate-only metrics. A metric present in the baseline but absent
 // from the candidate is a regression (MISSING); a candidate-only metric is
 // informational (new). Directions resolve from the baseline's metadata
-// first, then the candidate's, then the name heuristic.
+// first, then the candidate's.
 BenchDiffResult diff_bench_reports(const BenchReportView& baseline,
                                    const BenchReportView& candidate,
                                    const BenchDiffOptions& options = {});
@@ -110,18 +105,18 @@ std::string render_bench_diff(const BenchReportView& baseline,
 //   cgps_bench_diff <baseline.json> <candidate.json>
 //                   [--tolerance-pct N] [--include-wall] [--skip SUBSTR]...
 // Appends all output (table or error text) to *out. Returns 0 when no metric
-// regressed, 1 on regression, 2 on bad usage or malformed input.
+// regressed, 1 on regression, 2 on bad usage or malformed input (a metric
+// without a direction included). cgps_bench_trend parses the shared flags
+// with the same parser.
 int bench_diff_main(int argc, const char* const* argv, std::string& out);
 
 // ---------------------------------------------------------------- trend --
 
-struct BenchTrendOptions {
-  // Drift tolerance for newest-vs-oldest, like BenchDiffOptions.
-  double tolerance_pct = 5.0;
+// The diff's options (the tolerance applies newest-vs-oldest), plus the
+// window.
+struct BenchTrendOptions : BenchDiffOptions {
   // Keep only the newest N reports of the series (0 = all).
   std::size_t last_n = 0;
-  bool include_wall = false;
-  std::vector<std::string> skip;
 };
 
 struct BenchTrendRow {
@@ -149,10 +144,15 @@ struct BenchTrendResult {
 
 // Per-metric drift over a chronological series (oldest first — callers sort
 // file paths lexicographically, which the bench/history/ naming convention
-// (<seq>-<git>.json) makes chronological). A metric is DRIFTED when newest
-// vs oldest moves past the tolerance in its bad direction, MISSING when it
-// appeared earlier but is absent from the newest report, and "new" when only
-// the newest report carries it.
+// (<seq>-<git>.json) makes chronological). The rows, their order, their
+// directions and statuses are diff_bench_reports of the newest report
+// against each metric's oldest value in the reports before it, with
+// REGRESSED shown as DRIFTED: DRIFTED when newest vs oldest moves past the
+// tolerance in its bad direction, MISSING when the metric appeared earlier
+// but is absent from the newest report, "new" when only the newest report
+// carries it. The newest report's directions win; a metric it lacks keeps
+// the direction its own report declared. present/first/last/min/max and the
+// spark line come from the whole window.
 BenchTrendResult trend_bench_reports(const std::vector<BenchReportView>& series,
                                      const BenchTrendOptions& options = {});
 

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -18,17 +19,6 @@ namespace cgps::lint {
 namespace {
 
 // --- shared small helpers -------------------------------------------------
-
-void add_finding(std::vector<Finding>& out, const FileUnit& f, int line,
-                 std::string rule, std::string message) {
-  Finding v;
-  v.file = f.rel;
-  v.line = line;
-  v.rule = std::move(rule);
-  v.message = std::move(message);
-  if (line > 0) v.excerpt = line_text(f.raw, f.starts, line);
-  out.push_back(std::move(v));
-}
 
 // Collapse "." and ".." components of a '/'-separated relative path.
 std::string normalize_rel(std::string_view path) {
@@ -322,37 +312,25 @@ struct LayeringRow {
   int uses = 0;
 };
 
+// `<from> -> <to>` per row.
 std::vector<LayeringRow> parse_layering(std::string_view text, std::string* error) {
   std::vector<LayeringRow> rows;
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    ++line_no;
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line = trim_copy(
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos));
-    if (!line.empty() && line[0] != '#') {
-      // `<from> -> <to>`
-      const std::size_t arrow = line.find("->");
-      LayeringRow row;
-      row.line_no = line_no;
-      if (arrow != std::string::npos) {
-        row.from = trim_copy(line.substr(0, arrow));
-        row.to = trim_copy(line.substr(arrow + 2));
-      }
-      if (row.from.empty() || row.to.empty() ||
-          row.from.find(' ') != std::string::npos ||
-          row.to.find(' ') != std::string::npos) {
-        if (error != nullptr && error->empty())
-          *error = "layering manifest line " + std::to_string(line_no) +
-                   ": want `<module> -> <module>`";
-      } else {
-        rows.push_back(std::move(row));
-      }
+  for (const Row& line : rows_of(text)) {
+    const std::size_t arrow = line.text.find("->");
+    LayeringRow row;
+    row.line_no = line.line;
+    if (arrow != std::string::npos) {
+      row.from = trim_copy(line.text.substr(0, arrow));
+      row.to = trim_copy(line.text.substr(arrow + 2));
     }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
+    if (row.from.empty() || row.to.empty() || row.from.find(' ') != std::string::npos ||
+        row.to.find(' ') != std::string::npos) {
+      if (error != nullptr && error->empty())
+        *error = "layering manifest line " + std::to_string(line.line) +
+                 ": want `<module> -> <module>`";
+      continue;
+    }
+    rows.push_back(std::move(row));
   }
   return rows;
 }
@@ -365,104 +343,25 @@ struct AtomicsRow {
   int uses = 0;
 };
 
+// `<path> <memory_order_*> <justification>` per row.
 std::vector<AtomicsRow> parse_atomics(std::string_view text, std::string* error) {
   std::vector<AtomicsRow> rows;
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    ++line_no;
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line = trim_copy(
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos));
-    if (!line.empty() && line[0] != '#') {
-      AtomicsRow row;
-      row.line_no = line_no;
-      const std::size_t sp1 = line.find_first_of(" \t");
-      if (sp1 != std::string::npos) {
-        row.path = line.substr(0, sp1);
-        const std::size_t rest = line.find_first_not_of(" \t", sp1);
-        const std::size_t sp2 =
-            rest == std::string::npos ? std::string::npos : line.find_first_of(" \t", rest);
-        if (rest != std::string::npos) {
-          row.order = line.substr(
-              rest, sp2 == std::string::npos ? std::string::npos : sp2 - rest);
-          if (sp2 != std::string::npos)
-            row.justification = trim_copy(line.substr(sp2));
-        }
-      }
-      if (row.path.empty() || row.order.rfind("memory_order_", 0) != 0) {
-        if (error != nullptr && error->empty())
-          *error = "atomics manifest line " + std::to_string(line_no) +
-                   ": want `<path> <memory_order_*> <justification>`";
-      } else {
-        rows.push_back(std::move(row));
-      }
+  for (const Row& line : rows_of(text)) {
+    std::istringstream ss(line.text);
+    AtomicsRow row;
+    row.line_no = line.line;
+    ss >> row.path >> row.order;
+    std::getline(ss, row.justification);
+    row.justification = trim_copy(row.justification);
+    if (row.order.rfind("memory_order_", 0) != 0) {
+      if (error != nullptr && error->empty())
+        *error = "atomics manifest line " + std::to_string(line.line) +
+                 ": want `<path> <memory_order_*> <justification>`";
+      continue;
     }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
+    rows.push_back(std::move(row));
   }
   return rows;
-}
-
-// --- module-map cross-check -----------------------------------------------
-
-// Table rows whose first cell is a backticked `src/<module>` path.
-std::map<std::string, int> documented_modules(std::string_view doc) {
-  std::map<std::string, int> out;
-  int line = 0;
-  std::size_t pos = 0;
-  while (pos <= doc.size()) {
-    ++line;
-    const std::size_t eol = doc.find('\n', pos);
-    const std::string text = trim_copy(doc.substr(
-        pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos));
-    if (text.size() > 3 && text[0] == '|') {
-      const std::size_t tick = text.find('`');
-      const std::size_t close =
-          tick == std::string::npos ? std::string::npos : text.find('`', tick + 1);
-      if (tick != std::string::npos && close != std::string::npos &&
-          text.find_first_not_of("| ") == tick) {
-        std::string name = text.substr(tick + 1, close - tick - 1);
-        if (name.rfind("src/", 0) == 0) {
-          name = name.substr(4);
-          while (!name.empty() && name.back() == '/') name.pop_back();
-          if (!name.empty() && name.find('/') == std::string::npos)
-            out.emplace(name, line);
-        }
-      }
-    }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  return out;
-}
-
-void check_module_map(const std::string& doc_rel, const std::string& doc_text,
-                      const std::set<std::string>& actual_modules,
-                      std::vector<Finding>& findings) {
-  const std::map<std::string, int> documented = documented_modules(doc_text);
-  if (documented.empty()) return;  // no module map in this document
-  for (const std::string& mod : actual_modules) {
-    if (documented.count(mod) != 0) continue;
-    Finding v;
-    v.file = doc_rel;
-    v.line = 0;
-    v.rule = "module-map-drift";
-    v.message = "module map has no row for `src/" + mod +
-                "`; every src/ module must be documented";
-    findings.push_back(std::move(v));
-  }
-  for (const auto& [mod, line] : documented) {
-    if (actual_modules.count(mod) != 0) continue;
-    Finding v;
-    v.file = doc_rel;
-    v.line = line;
-    v.rule = "module-map-drift";
-    v.message = "module map documents `src/" + mod +
-                "` but no such module exists; delete or rename the row";
-    findings.push_back(std::move(v));
-  }
 }
 
 // --- include-cycle detection (iterative Tarjan SCC) -----------------------
@@ -712,33 +611,21 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units, const std::strin
           break;
         }
       }
-      if (!allowed) {
-        Finding v;
-        v.file = e.example_file;
-        v.line = e.example_line;
-        v.rule = "layering-violation";
-        v.message = "module edge `" + e.from + " -> " + e.to +
-                     "` is not declared in tools/cgps_layering.txt; refactor "
-                     "the dependency or (for a genuinely new layer edge) add "
-                     "the manifest row in the same reviewed change";
-        const auto it = by_rel.find(e.example_file);
-        if (it != by_rel.end()) {
-          const FileUnit& f = units[static_cast<std::size_t>(it->second)];
-          v.excerpt = line_text(f.raw, f.starts, e.example_line);
-        }
-        report.findings.push_back(std::move(v));
-      }
+      if (!allowed)
+        add_finding(report.findings, units[static_cast<std::size_t>(by_rel.at(e.example_file))],
+                    e.example_line, "layering-violation",
+                    "module edge `" + e.from + " -> " + e.to +
+                        "` is not declared in tools/cgps_layering.txt; refactor "
+                        "the dependency or (for a genuinely new layer edge) add "
+                        "the manifest row in the same reviewed change");
     }
     for (const LayeringRow& row : rows) {
-      if (row.uses > 0) continue;
-      Finding v;
-      v.file = "tools/cgps_layering.txt";
-      v.line = row.line_no;
-      v.rule = "layering-manifest-stale";
-      v.message = "edge `" + row.from + " -> " + row.to +
-                   "` is declared but no include realizes it; the manifest "
-                   "is shrink-only — delete the row";
-      report.findings.push_back(std::move(v));
+      if (row.uses == 0)
+        add_finding(report.findings, "tools/cgps_layering.txt", row.line_no,
+                    "layering-manifest-stale",
+                    "edge `" + row.from + " -> " + row.to +
+                        "` is declared but no include realizes it; the manifest "
+                        "is shrink-only — delete the row");
     }
   }
 
@@ -794,37 +681,52 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units, const std::strin
   }
   if (have_atomics) {
     for (const AtomicsRow& row : atomics_rows) {
-      if (row.justification.empty()) {
-        Finding v;
-        v.file = "tools/cgps_atomics.txt";
-        v.line = row.line_no;
-        v.rule = "atomics-manifest-unjustified";
-        v.message = "row `" + row.path + " " + row.order +
-                     "` carries no justification; every manifest entry must "
-                     "say why the weaker order is sound";
-        report.findings.push_back(std::move(v));
-      }
-      if (row.uses == 0) {
-        Finding v;
-        v.file = "tools/cgps_atomics.txt";
-        v.line = row.line_no;
-        v.rule = "atomics-manifest-stale";
-        v.message = "row `" + row.path + " " + row.order +
-                     "` matches no site; the manifest is shrink-only — "
-                     "delete the row";
-        report.findings.push_back(std::move(v));
-      }
+      if (row.justification.empty())
+        add_finding(report.findings, "tools/cgps_atomics.txt", row.line_no,
+                    "atomics-manifest-unjustified",
+                    "row `" + row.path + " " + row.order +
+                        "` carries no justification; every manifest entry must "
+                        "say why the weaker order is sound");
+      if (row.uses == 0)
+        add_finding(report.findings, "tools/cgps_atomics.txt", row.line_no,
+                    "atomics-manifest-stale",
+                    "row `" + row.path + " " + row.order +
+                        "` matches no site; the manifest is shrink-only — "
+                        "delete the row");
     }
   }
 
   // --- rule: module-map-drift ---------------------------------------------
-  std::set<std::string> actual_modules;
-  for (const FileUnit& f : units)
-    if (f.rel.rfind("src/", 0) == 0) actual_modules.insert(module_of(f.rel));
-  for (const char* doc : {"README.md", "docs/OPERATIONS.md"}) {
+  // Table rows whose first cell is a backticked `src/<module>` path. A
+  // document without such rows has no module map; a module missing from
+  // one is reported at the document itself (line 0).
+  for (const std::string doc : {"README.md", "docs/OPERATIONS.md"}) {
     std::string text;
-    if (read_file(root + "/" + doc, text))
-      check_module_map(doc, text, actual_modules, report.findings);
+    if (!read_file(root + "/" + doc, text)) continue;
+    std::map<std::string, int> documented;
+    for (const Row& row : rows_of(text)) {
+      std::string name = table_key(row.text);
+      if (name.rfind("src/", 0) != 0) continue;
+      name.erase(0, 4);
+      while (!name.empty() && name.back() == '/') name.pop_back();
+      if (!name.empty() && name.find('/') == std::string::npos) documented.emplace(name, row.line);
+    }
+    if (documented.empty()) continue;
+    std::map<std::string, SourceRef> modules;
+    for (const FileUnit& f : units)
+      if (f.rel.rfind("src/", 0) == 0) modules.emplace(module_of(f.rel), SourceRef{doc, 0});
+    cross_check(
+        modules, documented, doc, "module-map-drift",
+        [](const std::string& mod) {
+          return "module map has no row for `src/" + mod +
+                 "`; every src/ module must be documented";
+        },
+        "module-map-drift",
+        [](const std::string& mod) {
+          return "module map documents `src/" + mod +
+                 "` but no such module exists; delete or rename the row";
+        },
+        report.findings);
   }
 
   std::sort(report.findings.begin(), report.findings.end(),

@@ -21,17 +21,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-void add_finding(std::vector<Finding>& out, const FileUnit& f, int line,
-                 std::string rule, std::string message) {
-  Finding v;
-  v.file = f.rel;
-  v.line = line;
-  v.rule = std::move(rule);
-  v.message = std::move(message);
-  if (line > 0) v.excerpt = line_text(f.raw, f.starts, line);
-  out.push_back(std::move(v));
-}
-
 // --- rule: getenv-outside-env -------------------------------------------
 void check_getenv(const FileUnit& f, std::vector<Finding>& out) {
   if (f.rel == "src/util/env.cpp") return;
@@ -172,34 +161,10 @@ void check_metric_keys(const FileUnit& f, std::vector<Finding>& out) {
   });
 }
 
-// First code location that referenced a name, for cross-check findings.
-struct SourceRef {
-  std::string file;
-  int line = 0;
-};
-
 void collect_metric_keys(const FileUnit& f, std::map<std::string, SourceRef>& refs) {
   for_each_instrument_literal(f, [&](const Literal& lit) {
     refs.emplace(lit.value, SourceRef{f.rel, lit.line});
   });
-}
-
-// Manifest rows: one key per line, `#` comments and blank lines skipped.
-std::map<std::string, int> parse_key_manifest(std::string_view text) {
-  std::map<std::string, int> out;
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    ++line_no;
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line = trim_copy(
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos));
-    if (!line.empty() && line[0] != '#') out.emplace(line, line_no);
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  return out;
 }
 
 // --- rule: env-var table cross-check ------------------------------------
@@ -231,37 +196,6 @@ void collect_env_refs(const FileUnit& f, std::map<std::string, SourceRef>& refs)
   }
 }
 
-// Table rows look like `| \`NAME\` | default | meaning |`; only rows whose
-// name carries an env prefix participate in the cross-check.
-std::map<std::string, int> documented_env_vars(std::string_view readme) {
-  std::map<std::string, int> out;
-  int line = 0;
-  std::size_t pos = 0;
-  while (pos <= readme.size()) {
-    ++line;
-    const std::size_t eol = readme.find('\n', pos);
-    std::string_view row = readme.substr(pos, eol == std::string_view::npos
-                                                  ? std::string_view::npos
-                                                  : eol - pos);
-    const std::string text = trim_copy(row);
-    if (text.size() > 3 && text[0] == '|') {
-      const std::size_t tick = text.find('`');
-      const std::size_t close = tick == std::string::npos
-                                    ? std::string::npos
-                                    : text.find('`', tick + 1);
-      if (tick != std::string::npos && close != std::string::npos &&
-          text.find_first_not_of("| ") == tick) {
-        const std::string name = text.substr(tick + 1, close - tick - 1);
-        if (name.rfind("CIRCUITGPS_", 0) == 0 || name.rfind("CGPS_", 0) == 0)
-          out.emplace(name, line);
-      }
-    }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 bool is_dotted_metric_key(std::string_view name) {
@@ -287,32 +221,21 @@ std::string strip_comments_and_strings(std::string_view text) {
 
 std::vector<AllowlistEntry> parse_allowlist(std::string_view text, std::string* error) {
   std::vector<AllowlistEntry> out;
-  int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    ++line_no;
-    const std::size_t eol = text.find('\n', pos);
-    const std::string line = trim_copy(
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos));
-    if (!line.empty() && line[0] != '#') {
-      std::istringstream ss(line);
-      AllowlistEntry entry;
-      entry.line_no = line_no;
-      ss >> entry.rule >> entry.path_suffix;
-      if (entry.path_suffix.empty()) {
-        if (error != nullptr && error->empty())
-          *error = "allowlist line " + std::to_string(line_no) +
-                   ": want `<rule> <path-suffix> [line substring]`";
-      } else {
-        std::string rest;
-        std::getline(ss, rest);
-        entry.needle = trim_copy(rest);
-        out.push_back(std::move(entry));
-      }
+  for (const Row& row : rows_of(text)) {
+    std::istringstream ss(row.text);
+    AllowlistEntry entry;
+    entry.line_no = row.line;
+    ss >> entry.rule >> entry.path_suffix;
+    if (entry.path_suffix.empty()) {
+      if (error != nullptr && error->empty())
+        *error = "allowlist line " + std::to_string(row.line) +
+                 ": want `<rule> <path-suffix> [line substring]`";
+      continue;
     }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
+    std::string rest;
+    std::getline(ss, rest);
+    entry.needle = trim_copy(rest);
+    out.push_back(std::move(entry));
   }
   return out;
 }
@@ -402,80 +325,49 @@ LintReport run_lint(const LintOptions& options) {
   // a reviewed manifest diff. Absent manifest = rule off (fixture trees).
   std::string manifest_text;
   if (read_file(options.root + "/tools/cgps_metric_keys.txt", manifest_text)) {
-    const std::map<std::string, int> manifest = parse_key_manifest(manifest_text);
-    for (const auto& [name, ref] : metric_refs) {
-      if (manifest.count(name) != 0) continue;
-      Finding v;
-      v.file = ref.file;
-      v.line = ref.line;
-      v.rule = "metric-key-registry";
-      v.message = "instrument name \"" + name + "\" is registered in code but "
-                  "missing from tools/cgps_metric_keys.txt; add a row (the "
-                  "manifest is the reviewed schema of the stats payload)";
-      report.findings.push_back(std::move(v));
-    }
-    for (const auto& [name, line] : manifest) {
-      if (metric_refs.count(name) != 0) continue;
-      Finding v;
-      v.file = "tools/cgps_metric_keys.txt";
-      v.line = line;
-      v.rule = "metric-key-registry";
-      v.message = "\"" + name + "\" is listed in the key manifest but no "
-                  "non-test code registers it; delete the row";
-      report.findings.push_back(std::move(v));
-    }
+    std::map<std::string, int> manifest;
+    for (const Row& row : rows_of(manifest_text)) manifest.emplace(row.text, row.line);
+    cross_check(
+        metric_refs, manifest, "tools/cgps_metric_keys.txt", "metric-key-registry",
+        [](const std::string& name) {
+          return "instrument name \"" + name +
+                 "\" is registered in code but missing from tools/cgps_metric_keys.txt; "
+                 "add a row (the manifest is the reviewed schema of the stats payload)";
+        },
+        "metric-key-registry",
+        [](const std::string& name) {
+          return "\"" + name +
+                 "\" is listed in the key manifest but no non-test code registers it; "
+                 "delete the row";
+        },
+        report.findings);
   }
 
-  std::string readme;
-  read_file(options.root + "/README.md", readme);  // missing file = empty table
-  const std::map<std::string, int> documented = documented_env_vars(readme);
-  for (const auto& [name, ref] : env_refs) {
-    if (documented.count(name) != 0) continue;
-    Finding v;
-    v.file = ref.file;
-    v.line = ref.line;
-    v.rule = "env-var-undocumented";
-    v.message = name + " is read in code but missing from the README.md "
-                       "environment-variable table";
-    report.findings.push_back(std::move(v));
-  }
-  for (const auto& [name, line] : documented) {
-    if (env_refs.count(name) != 0) continue;
-    Finding v;
-    v.file = "README.md";
-    v.line = line;
-    v.rule = "env-var-unreferenced";
-    v.message = name + " is documented in the README.md table but no code "
-                       "references it";
-    report.findings.push_back(std::move(v));
-  }
-
-  // The operator guide, when present, must stay in lockstep with the code
-  // the same way the README table does: its env-var table is the contract
-  // operators configure daemons from, so a missing or dead row is a bug.
-  std::string ops;
-  if (read_file(options.root + "/docs/OPERATIONS.md", ops)) {
-    const std::map<std::string, int> ops_documented = documented_env_vars(ops);
-    for (const auto& [name, ref] : env_refs) {
-      if (ops_documented.count(name) != 0) continue;
-      Finding v;
-      v.file = ref.file;
-      v.line = ref.line;
-      v.rule = "env-var-undocumented";
-      v.message = name + " is read in code but missing from the "
-                         "docs/OPERATIONS.md environment-variable table";
-      report.findings.push_back(std::move(v));
+  // --- rules: env-var-undocumented / env-var-unreferenced ---------------
+  // Table rows look like `| \`NAME\` | default | meaning |`; only names with
+  // an env prefix take part. The README table always counts (a missing file
+  // is an empty table); the operator guide, when present, is held to the
+  // same lockstep, since operators configure daemons from its table.
+  for (const std::string doc : {"README.md", "docs/OPERATIONS.md"}) {
+    std::string text;
+    if (!read_file(options.root + "/" + doc, text) && doc != "README.md") continue;
+    std::map<std::string, int> documented;
+    for (const Row& row : rows_of(text)) {
+      const std::string name = table_key(row.text);
+      if (name.rfind("CIRCUITGPS_", 0) == 0 || name.rfind("CGPS_", 0) == 0)
+        documented.emplace(name, row.line);
     }
-    for (const auto& [name, line] : ops_documented) {
-      if (env_refs.count(name) != 0) continue;
-      Finding v;
-      v.file = "docs/OPERATIONS.md";
-      v.line = line;
-      v.rule = "env-var-unreferenced";
-      v.message = name + " is documented in the docs/OPERATIONS.md table but "
-                         "no code references it";
-      report.findings.push_back(std::move(v));
-    }
+    cross_check(
+        env_refs, documented, doc, "env-var-undocumented",
+        [&doc](const std::string& name) {
+          return name + " is read in code but missing from the " + doc +
+                 " environment-variable table";
+        },
+        "env-var-unreferenced",
+        [&doc](const std::string& name) {
+          return name + " is documented in the " + doc + " table but no code references it";
+        },
+        report.findings);
   }
 
   std::sort(report.findings.begin(), report.findings.end(),
@@ -497,14 +389,17 @@ LintReport run_lint(const LintOptions& options) {
       ++entry.uses;
       break;
     }
-    if (!v.allowlisted) ++report.violations;
   }
+  // --- rule: stale-allowlist --------------------------------------------
   for (const AllowlistEntry& entry : allow) {
-    if (entry.uses == 0) {
-      report.stale.push_back(entry);
-      ++report.violations;
-    }
+    if (entry.uses == 0)
+      add_finding(report.findings, options.allowlist_path, entry.line_no, "stale-allowlist",
+                  "entry `" + entry.rule + " " + entry.path_suffix +
+                      "` matched nothing; delete it");
   }
+  report.violations = static_cast<int>(
+      std::count_if(report.findings.begin(), report.findings.end(),
+                    [](const Finding& v) { return !v.allowlisted; }));
   report.wall_ms = watch.milliseconds();
   return report;
 }
@@ -596,18 +491,9 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
     if (v.allowlisted) ++suppressed;
 
   if (json) {
-    // JSONL: one record per finding (allowlisted included, flagged), one
-    // per stale allowlist entry, then a summary record.
+    // JSONL: one record per finding (allowlisted included, flagged), then a
+    // summary record.
     for (const Finding& v : report.findings) out += finding_record(v) + "\n";
-    for (const AllowlistEntry& entry : report.stale) {
-      Finding v;
-      v.file = allowlist;
-      v.line = entry.line_no;
-      v.rule = "stale-allowlist";
-      v.message = "entry `" + entry.rule + " " + entry.path_suffix +
-                  "` matched nothing; delete it";
-      out += finding_record(v) + "\n";
-    }
     JsonWriter w;
     w.begin_object()
         .field("schema", "cgps-lint-v1")
@@ -622,11 +508,6 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
       if (v.allowlisted) continue;
       out += v.file + ":" + std::to_string(v.line) + " " + v.rule + " " + v.message + "\n";
       if (!v.excerpt.empty()) out += "    > " + v.excerpt + "\n";
-    }
-    for (const AllowlistEntry& entry : report.stale) {
-      out += allowlist + ":" + std::to_string(entry.line_no) +
-             " stale-allowlist entry `" + entry.rule + " " + entry.path_suffix +
-             "` matched nothing; delete it\n";
     }
     char wall[64];
     std::snprintf(wall, sizeof(wall), "%.1f", report.wall_ms);

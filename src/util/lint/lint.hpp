@@ -24,7 +24,8 @@
 //   no-cout-outside-tools   qualified std::cout in library code (src/);
 //                           stdout belongs to the CLIs, diagnostics to
 //                           util/logging (stderr)
-//   stale-allowlist         allowlist entry that matched nothing
+//   stale-allowlist         allowlist entry that matched nothing, reported
+//                           at its allowlist line after every other finding
 //
 // The include-graph rule family (layering-violation, include-cycle,
 // include-order, unused-include, the atomics/volatile discipline, and
@@ -33,7 +34,10 @@
 //
 // When docs/OPERATIONS.md exists, the env-var cross-check additionally
 // requires its environment-variable table to stay in lockstep with the
-// code, exactly like the README table.
+// code, exactly like the README table. The metric-key, env-var and
+// module-map rules are one two-way check each (scan.hpp cross_check): a
+// name used in code but unlisted, at its first use; a listed name no code
+// uses, at its row.
 //
 // Scanning and per-file rule evaluation are parallelized over
 // util/parallel; findings and cross-check winners are merged in sorted
@@ -63,7 +67,7 @@ struct AllowlistEntry {
   std::string path_suffix;
   std::string needle;
   int line_no = 0;  // line in the allowlist file, for diagnostics
-  int uses = 0;     // findings suppressed; 0 after a run = stale
+  int uses = 0;     // findings suppressed; 0 after a run = stale-allowlist
 };
 
 struct LintOptions {
@@ -72,9 +76,10 @@ struct LintOptions {
 };
 
 struct LintReport {
-  std::vector<Finding> findings;      // every finding, allowlisted included
-  std::vector<AllowlistEntry> stale;  // entries that suppressed nothing
-  int violations = 0;     // non-allowlisted findings + stale entries
+  // Every finding, allowlisted included, sorted by (file, line, rule); then
+  // one stale-allowlist finding per allowlist entry that suppressed nothing.
+  std::vector<Finding> findings;
+  int violations = 0;     // non-allowlisted findings
   int files_scanned = 0;  // C++ files read and lexed
   double wall_ms = 0.0;   // scan + all rules, wall time
   std::string error;  // non-empty when the scan itself failed (exit 2)

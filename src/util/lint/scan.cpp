@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace cgps::lint {
 
@@ -202,6 +203,58 @@ std::vector<std::size_t> token_offsets(std::string_view text, std::string_view t
 std::size_t skip_ws(std::string_view text, std::size_t i) {
   while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
   return i;
+}
+
+std::vector<Row> rows_of(std::string_view text) {
+  std::vector<Row> rows;
+  int line = 0;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    ++line;
+    const std::size_t eol = text.find('\n', pos);
+    std::string row = trim_copy(
+        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos));
+    if (!row.empty() && row[0] != '#') rows.push_back({line, std::move(row)});
+    if (eol == std::string_view::npos) break;
+    pos = eol + 1;
+  }
+  return rows;
+}
+
+std::string table_key(const std::string& row) {
+  if (row.size() <= 3 || row[0] != '|') return "";
+  const std::size_t tick = row.find('`');
+  if (tick == std::string::npos || row.find_first_not_of("| ") != tick) return "";
+  const std::size_t close = row.find('`', tick + 1);
+  return close == std::string::npos ? "" : row.substr(tick + 1, close - tick - 1);
+}
+
+void add_finding(std::vector<Finding>& out, const FileUnit& f, int line, std::string rule,
+                 std::string message) {
+  add_finding(out, f.rel, line, std::move(rule), std::move(message));
+  if (line > 0) out.back().excerpt = line_text(f.raw, f.starts, line);
+}
+
+void add_finding(std::vector<Finding>& out, std::string file, int line, std::string rule,
+                 std::string message) {
+  Finding v;
+  v.file = std::move(file);
+  v.line = line;
+  v.rule = std::move(rule);
+  v.message = std::move(message);
+  out.push_back(std::move(v));
+}
+
+void cross_check(const std::map<std::string, SourceRef>& used,
+                 const std::map<std::string, int>& listed, const std::string& list_file,
+                 const std::string& unlisted_rule, const MessageOf& unlisted_message,
+                 const std::string& unused_rule, const MessageOf& unused_message,
+                 std::vector<Finding>& out) {
+  for (const auto& [name, ref] : used)
+    if (listed.count(name) == 0)
+      add_finding(out, ref.file, ref.line, unlisted_rule, unlisted_message(name));
+  for (const auto& [name, line] : listed)
+    if (used.count(name) == 0) add_finding(out, list_file, line, unused_rule, unused_message(name));
 }
 
 }  // namespace cgps::lint

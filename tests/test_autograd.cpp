@@ -38,7 +38,6 @@ TEST(Autograd, BroadcastOps) {
   Tensor col = random_input(4, 1, rng);
   for (float& v : col.data()) v += (v >= 0 ? 2.0f : -2.0f);
   expect_gradcheck([&] { return ops::sum_all(ops::add_rowvec(x, row)); }, {x, row});
-  expect_gradcheck([&] { return ops::sum_all(ops::mul_rowvec(x, row)); }, {x, row});
   expect_gradcheck([&] { return ops::sum_all(ops::add_colvec(x, col)); }, {x, col});
   expect_gradcheck([&] { return ops::sum_all(ops::sub_colvec(x, col)); }, {x, col});
   expect_gradcheck([&] { return ops::sum_all(ops::mul_colvec(x, col)); }, {x, col});
@@ -48,20 +47,14 @@ TEST(Autograd, BroadcastOps) {
 TEST(Autograd, UnaryOps) {
   Rng rng(3);
   Tensor x = random_input(3, 3, rng);
-  // Shift away from relu/abs kinks and keep log/sqrt domains positive.
+  // Shift away from the relu kink.
   for (float& v : x.data()) v = v * 0.5f + (v >= 0 ? 1.0f : -1.0f);
-  Tensor pos = random_input(3, 3, rng);
-  for (float& v : pos.data()) v = std::fabs(v) + 1.0f;
 
   expect_gradcheck([&] { return ops::sum_all(ops::neg(x)); }, {x});
   expect_gradcheck([&] { return ops::sum_all(ops::relu(x)); }, {x});
   expect_gradcheck([&] { return ops::sum_all(ops::sigmoid(x)); }, {x});
-  expect_gradcheck([&] { return ops::sum_all(ops::tanh_op(x)); }, {x});
   expect_gradcheck([&] { return ops::sum_all(ops::exp_op(x)); }, {x});
-  expect_gradcheck([&] { return ops::sum_all(ops::log_op(pos)); }, {pos});
-  expect_gradcheck([&] { return ops::sum_all(ops::sqrt_op(pos)); }, {pos});
   expect_gradcheck([&] { return ops::sum_all(ops::square(x)); }, {x});
-  expect_gradcheck([&] { return ops::sum_all(ops::abs_op(x)); }, {x});
   expect_gradcheck([&] { return ops::sum_all(ops::scale(x, -1.7f)); }, {x});
   expect_gradcheck([&] { return ops::sum_all(ops::add_scalar(x, 3.0f)); }, {x});
 }

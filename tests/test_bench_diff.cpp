@@ -1,7 +1,8 @@
 // Tests for the cgps-bench-v1 regression gate (util/bench_diff +
 // tools/cgps_bench_diff): report parsing/validation, the diff and its
-// direction heuristic, the rendered table, and the CLI exit-code contract
-// (0 = clean, 1 = regression, 2 = malformed input or bad usage).
+// declared directions, the rendered table, the trend as a diff, and the CLI
+// exit-code contract (0 = clean, 1 = regression, 2 = malformed input or bad
+// usage).
 #include "util/bench_diff.hpp"
 
 #include <cstdio>
@@ -14,17 +15,24 @@
 namespace cgps {
 namespace {
 
-std::string report_json(const std::string& bench,
-                        const std::vector<std::pair<std::string, double>>& metrics,
+// One metric of a test report and its declared direction token.
+struct Metric {
+  std::string name;
+  double value = 0.0;
+  std::string direction;  // "down" | "up" | "both" (or a bad token)
+};
+
+std::string report_json(const std::string& bench, const std::vector<Metric>& metrics,
                         double wall_seconds = 1.0) {
-  std::string out = "{\"schema\":\"cgps-bench-v1\",\"bench\":\"" + bench +
-                    "\",\"git\":\"test\",\"metrics\":{";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + metrics[i].first + "\":" + std::to_string(metrics[i].second);
+  std::string values;
+  std::string directions;
+  for (const Metric& m : metrics) {
+    values += (values.empty() ? "\"" : ",\"") + m.name + "\":" + std::to_string(m.value);
+    directions += (directions.empty() ? "\"" : ",\"") + m.name + "\":\"" + m.direction + "\"";
   }
-  out += "},\"wall_seconds\":" + std::to_string(wall_seconds) + "}";
-  return out;
+  return "{\"schema\":\"cgps-bench-v1\",\"bench\":\"" + bench +
+         "\",\"git\":\"test\",\"metrics\":{" + values + "},\"directions\":{" + directions +
+         "},\"wall_seconds\":" + std::to_string(wall_seconds) + "}";
 }
 
 std::string write_temp(const std::string& name, const std::string& content) {
@@ -41,7 +49,8 @@ int run_cli(const std::vector<std::string>& args, std::string& out) {
 }
 
 TEST(ParseBenchReport, AcceptsValidReport) {
-  const auto view = parse_bench_report(report_json("smoke", {{"auc", 0.9}, {"loss", 0.1}}, 2.5));
+  const auto view =
+      parse_bench_report(report_json("smoke", {{"auc", 0.9, "up"}, {"loss", 0.1, "down"}}, 2.5));
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->bench, "smoke");
   EXPECT_EQ(view->git, "test");
@@ -69,22 +78,24 @@ TEST(ParseBenchReport, RejectsMalformedInput) {
                    &error)
                    .has_value());
   EXPECT_NE(error.find("metric"), std::string::npos);
-}
-
-TEST(MetricDirection, QualityScoresAreHigherBetter) {
-  EXPECT_TRUE(metric_higher_is_better("link_auc"));
-  EXPECT_TRUE(metric_higher_is_better("test_accuracy"));
-  EXPECT_TRUE(metric_higher_is_better("F1_macro"));
-  EXPECT_TRUE(metric_higher_is_better("r2"));
-  EXPECT_FALSE(metric_higher_is_better("loss"));
-  EXPECT_FALSE(metric_higher_is_better("mae"));
-  EXPECT_FALSE(metric_higher_is_better("build_seconds"));
-  EXPECT_FALSE(metric_higher_is_better("wall_seconds"));
+  // A metric without a direction is named.
+  EXPECT_FALSE(parse_bench_report("{\"schema\":\"cgps-bench-v1\",\"bench\":\"x\","
+                                  "\"metrics\":{\"a\":1,\"b\":2},\"directions\":{\"a\":\"down\"}}",
+                                  &error)
+                   .has_value());
+  EXPECT_NE(error.find("\"b\" has no entry in \"directions\""), std::string::npos) << error;
+  EXPECT_FALSE(
+      parse_bench_report("{\"schema\":\"cgps-bench-v1\",\"bench\":\"x\",\"metrics\":{\"a\":1}}",
+                         &error)
+          .has_value());
+  EXPECT_NE(error.find("\"a\""), std::string::npos) << error;
 }
 
 TEST(DiffBenchReports, WithinToleranceIsClean) {
-  const auto a = parse_bench_report(report_json("b", {{"auc", 0.90}, {"mae", 0.100}}));
-  const auto b = parse_bench_report(report_json("b", {{"auc", 0.89}, {"mae", 0.103}}));
+  const auto a =
+      parse_bench_report(report_json("b", {{"auc", 0.90, "up"}, {"mae", 0.100, "down"}}));
+  const auto b =
+      parse_bench_report(report_json("b", {{"auc", 0.89, "up"}, {"mae", 0.103, "down"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   const BenchDiffResult result = diff_bench_reports(*a, *b, options);
@@ -95,8 +106,8 @@ TEST(DiffBenchReports, WithinToleranceIsClean) {
 }
 
 TEST(DiffBenchReports, FlagsLowerIsBetterRegression) {
-  const auto a = parse_bench_report(report_json("b", {{"mae", 0.100}}));
-  const auto b = parse_bench_report(report_json("b", {{"mae", 0.111}}));
+  const auto a = parse_bench_report(report_json("b", {{"mae", 0.100, "down"}}));
+  const auto b = parse_bench_report(report_json("b", {{"mae", 0.111, "down"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   const BenchDiffResult result = diff_bench_reports(*a, *b, options);
@@ -106,8 +117,8 @@ TEST(DiffBenchReports, FlagsLowerIsBetterRegression) {
 }
 
 TEST(DiffBenchReports, FlagsHigherIsBetterRegression) {
-  const auto a = parse_bench_report(report_json("b", {{"auc", 0.90}}));
-  const auto b = parse_bench_report(report_json("b", {{"auc", 0.80}}));
+  const auto a = parse_bench_report(report_json("b", {{"auc", 0.90, "up"}}));
+  const auto b = parse_bench_report(report_json("b", {{"auc", 0.80, "up"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   const BenchDiffResult result = diff_bench_reports(*a, *b, options);
@@ -120,8 +131,9 @@ TEST(DiffBenchReports, FlagsHigherIsBetterRegression) {
 }
 
 TEST(DiffBenchReports, MissingMetricIsRegressionNewIsNot) {
-  const auto a = parse_bench_report(report_json("b", {{"auc", 0.9}, {"mae", 0.1}}));
-  const auto b = parse_bench_report(report_json("b", {{"auc", 0.9}, {"rmse", 0.2}}));
+  const auto a = parse_bench_report(report_json("b", {{"auc", 0.9, "up"}, {"mae", 0.1, "down"}}));
+  const auto b =
+      parse_bench_report(report_json("b", {{"auc", 0.9, "up"}, {"rmse", 0.2, "down"}}));
   const BenchDiffResult result = diff_bench_reports(*a, *b, {});
   EXPECT_EQ(result.regressions, 1);
   ASSERT_EQ(result.rows.size(), 3u);  // auc, mae (missing), rmse (new)
@@ -132,8 +144,8 @@ TEST(DiffBenchReports, MissingMetricIsRegressionNewIsNot) {
 }
 
 TEST(DiffBenchReports, WallClockOnlyOnRequest) {
-  const auto a = parse_bench_report(report_json("b", {{"auc", 0.9}}, 1.0));
-  const auto b = parse_bench_report(report_json("b", {{"auc", 0.9}}, 100.0));
+  const auto a = parse_bench_report(report_json("b", {{"auc", 0.9, "up"}}, 1.0));
+  const auto b = parse_bench_report(report_json("b", {{"auc", 0.9, "up"}}, 100.0));
   EXPECT_EQ(diff_bench_reports(*a, *b, {}).rows.size(), 1u);
   BenchDiffOptions with_wall;
   with_wall.include_wall = true;
@@ -144,8 +156,10 @@ TEST(DiffBenchReports, WallClockOnlyOnRequest) {
 }
 
 TEST(RenderBenchDiff, GoldenTableShape) {
-  const auto a = parse_bench_report(report_json("smoke", {{"auc", 0.90}, {"mae", 0.10}}));
-  const auto b = parse_bench_report(report_json("smoke", {{"auc", 0.80}, {"mae", 0.10}}));
+  const auto a =
+      parse_bench_report(report_json("smoke", {{"auc", 0.90, "up"}, {"mae", 0.10, "down"}}));
+  const auto b =
+      parse_bench_report(report_json("smoke", {{"auc", 0.80, "up"}, {"mae", 0.10, "down"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   const BenchDiffResult result = diff_bench_reports(*a, *b, options);
@@ -159,9 +173,12 @@ TEST(RenderBenchDiff, GoldenTableShape) {
 }
 
 TEST(BenchDiffMain, ExitCodeContract) {
-  const std::string clean = write_temp("bd_clean.json", report_json("b", {{"auc", 0.9}}));
-  const std::string worse = write_temp("bd_worse.json", report_json("b", {{"auc", 0.5}}));
+  const std::string clean = write_temp("bd_clean.json", report_json("b", {{"auc", 0.9, "up"}}));
+  const std::string worse = write_temp("bd_worse.json", report_json("b", {{"auc", 0.5, "up"}}));
   const std::string broken = write_temp("bd_broken.json", "{nope");
+  const std::string undirected = write_temp(
+      "bd_undirected.json",
+      "{\"schema\":\"cgps-bench-v1\",\"bench\":\"b\",\"metrics\":{\"auc\":0.9}}");
 
   std::string out;
   EXPECT_EQ(run_cli({clean, clean}, out), 0);
@@ -179,6 +196,12 @@ TEST(BenchDiffMain, ExitCodeContract) {
   EXPECT_EQ(run_cli({clean, "/nonexistent_cgps/missing.json"}, out), 2);
 
   out.clear();
+  EXPECT_EQ(run_cli({undirected, clean}, out), 2);
+  EXPECT_NE(out.find("baseline: " + undirected + ": metric \"auc\" has no entry"),
+            std::string::npos)
+      << out;
+
+  out.clear();
   EXPECT_EQ(run_cli({clean}, out), 2);  // usage error
   EXPECT_NE(out.find("usage"), std::string::npos) << out;
 
@@ -194,47 +217,23 @@ TEST(BenchDiffMain, ExitCodeContract) {
   std::remove(clean.c_str());
   std::remove(worse.c_str());
   std::remove(broken.c_str());
+  std::remove(undirected.c_str());
 }
 
 // ------------------------------------------------- direction metadata --
 
-std::string report_json_with_directions(
-    const std::string& bench, const std::vector<std::pair<std::string, double>>& metrics,
-    const std::vector<std::pair<std::string, std::string>>& directions) {
-  std::string out = "{\"schema\":\"cgps-bench-v1\",\"bench\":\"" + bench +
-                    "\",\"git\":\"test\",\"metrics\":{";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + metrics[i].first + "\":" + std::to_string(metrics[i].second);
-  }
-  out += "},\"directions\":{";
-  for (std::size_t i = 0; i < directions.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + directions[i].first + "\":\"" + directions[i].second + "\"";
-  }
-  out += "},\"wall_seconds\":1.0}";
-  return out;
-}
-
 TEST(ParseBenchReport, ReadsDirectionsObject) {
-  const auto view = parse_bench_report(report_json_with_directions(
-      "b", {{"a", 1.0}, {"b", 2.0}, {"c", 3.0}},
-      {{"a", "down"}, {"b", "up"}, {"c", "both"}}));
+  const auto view = parse_bench_report(
+      report_json("b", {{"a", 1.0, "down"}, {"b", 2.0, "up"}, {"c", 3.0, "both"}}));
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(metric_direction(*view, "a"), MetricDirection::kLowerIsBetter);
   EXPECT_EQ(metric_direction(*view, "b"), MetricDirection::kHigherIsBetter);
   EXPECT_EQ(metric_direction(*view, "c"), MetricDirection::kTwoSided);
-  // No explicit entry -> heuristic.
-  EXPECT_EQ(metric_direction(*view, "some_auc"), MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(metric_direction(*view, "some_loss"), MetricDirection::kLowerIsBetter);
 }
 
 TEST(ParseBenchReport, RejectsBadDirectionTokens) {
   std::string error;
-  EXPECT_FALSE(parse_bench_report(report_json_with_directions("b", {{"a", 1.0}},
-                                                              {{"a", "sideways"}}),
-                                  &error)
-                   .has_value());
+  EXPECT_FALSE(parse_bench_report(report_json("b", {{"a", 1.0, "sideways"}}), &error).has_value());
   EXPECT_NE(error.find("direction"), std::string::npos) << error;
   // Non-string direction value.
   EXPECT_FALSE(parse_bench_report("{\"schema\":\"cgps-bench-v1\",\"bench\":\"b\","
@@ -244,12 +243,10 @@ TEST(ParseBenchReport, RejectsBadDirectionTokens) {
 }
 
 TEST(DiffBenchReports, ExplicitDirectionOverridesNameHeuristic) {
-  // "auc" heuristically regresses when it drops — but an explicit "down"
-  // in the baseline metadata must win, so a *rise* is the regression.
-  const auto a = parse_bench_report(
-      report_json_with_directions("b", {{"auc", 0.50}}, {{"auc", "down"}}));
-  const auto b = parse_bench_report(
-      report_json_with_directions("b", {{"auc", 0.60}}, {{"auc", "down"}}));
+  // "auc" reads like a quality score, but its declared "down" decides, so a
+  // *rise* is the regression.
+  const auto a = parse_bench_report(report_json("b", {{"auc", 0.50, "down"}}));
+  const auto b = parse_bench_report(report_json("b", {{"auc", 0.60, "down"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   EXPECT_EQ(diff_bench_reports(*a, *b, options).rows[0].status, "REGRESSED");
@@ -257,12 +254,9 @@ TEST(DiffBenchReports, ExplicitDirectionOverridesNameHeuristic) {
 }
 
 TEST(DiffBenchReports, TwoSidedRegressesOnAnyMove) {
-  const auto base = parse_bench_report(
-      report_json_with_directions("b", {{"runs", 10.0}}, {{"runs", "both"}}));
-  const auto up = parse_bench_report(
-      report_json_with_directions("b", {{"runs", 12.0}}, {{"runs", "both"}}));
-  const auto down = parse_bench_report(
-      report_json_with_directions("b", {{"runs", 8.0}}, {{"runs", "both"}}));
+  const auto base = parse_bench_report(report_json("b", {{"runs", 10.0, "both"}}));
+  const auto up = parse_bench_report(report_json("b", {{"runs", 12.0, "both"}}));
+  const auto down = parse_bench_report(report_json("b", {{"runs", 8.0, "both"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   EXPECT_EQ(diff_bench_reports(*base, *up, options).regressions, 1);
@@ -271,8 +265,10 @@ TEST(DiffBenchReports, TwoSidedRegressesOnAnyMove) {
 }
 
 TEST(DiffBenchReports, SkipSubstringNeverGates) {
-  const auto a = parse_bench_report(report_json("b", {{"auc", 0.9}, {"build_seconds", 1.0}}));
-  const auto b = parse_bench_report(report_json("b", {{"auc", 0.9}, {"build_seconds", 9.0}}));
+  const auto a =
+      parse_bench_report(report_json("b", {{"auc", 0.9, "up"}, {"build_seconds", 1.0, "down"}}));
+  const auto b =
+      parse_bench_report(report_json("b", {{"auc", 0.9, "up"}, {"build_seconds", 9.0, "down"}}));
   BenchDiffOptions options;
   options.tolerance_pct = 5.0;
   options.skip = {"seconds"};
@@ -282,28 +278,27 @@ TEST(DiffBenchReports, SkipSubstringNeverGates) {
   EXPECT_EQ(result.rows[1].metric, "build_seconds");
   EXPECT_EQ(result.rows[1].status, "skipped");
   // A skipped metric that disappears is not a MISSING regression either.
-  const auto gone = parse_bench_report(report_json("b", {{"auc", 0.9}}));
+  const auto gone = parse_bench_report(report_json("b", {{"auc", 0.9, "up"}}));
   EXPECT_EQ(diff_bench_reports(*a, *gone, options).regressions, 0);
 }
 
 // ------------------------------------------------------------- trend --
 
-BenchReportView make_view(const std::string& git,
-                          std::vector<std::pair<std::string, double>> metrics) {
-  BenchReportView v;
-  v.bench = "trendy";
-  v.git = git;
-  v.source = git + ".json";
-  v.metrics = std::move(metrics);
-  v.wall_seconds = 1.0;
-  return v;
+BenchReportView make_view(const std::string& git, const std::vector<Metric>& metrics,
+                          double wall_seconds = 1.0) {
+  std::optional<BenchReportView> v =
+      parse_bench_report(report_json("trendy", metrics, wall_seconds));
+  EXPECT_TRUE(v.has_value());
+  v->git = git;
+  v->source = git + ".json";
+  return *v;
 }
 
 TEST(TrendBenchReports, FlatSeriesIsClean) {
   const std::vector<BenchReportView> series{
-      make_view("r1", {{"auc", 0.9}, {"mae", 0.1}}),
-      make_view("r2", {{"auc", 0.9}, {"mae", 0.1}}),
-      make_view("r3", {{"auc", 0.9}, {"mae", 0.1}}),
+      make_view("r1", {{"auc", 0.9, "up"}, {"mae", 0.1, "down"}}),
+      make_view("r2", {{"auc", 0.9, "up"}, {"mae", 0.1, "down"}}),
+      make_view("r3", {{"auc", 0.9, "up"}, {"mae", 0.1, "down"}}),
   };
   const BenchTrendResult result = trend_bench_reports(series);
   EXPECT_EQ(result.drifts, 0);
@@ -319,9 +314,9 @@ TEST(TrendBenchReports, FlatSeriesIsClean) {
 
 TEST(TrendBenchReports, DriftAndImprovementFollowDirection) {
   const std::vector<BenchReportView> series{
-      make_view("r1", {{"auc", 0.90}, {"mae", 0.100}}),
-      make_view("r2", {{"auc", 0.85}, {"mae", 0.097}}),
-      make_view("r3", {{"auc", 0.80}, {"mae", 0.094}}),
+      make_view("r1", {{"auc", 0.90, "up"}, {"mae", 0.100, "down"}}),
+      make_view("r2", {{"auc", 0.85, "up"}, {"mae", 0.097, "down"}}),
+      make_view("r3", {{"auc", 0.80, "up"}, {"mae", 0.094, "down"}}),
   };
   BenchTrendOptions options;
   options.tolerance_pct = 5.0;
@@ -337,8 +332,8 @@ TEST(TrendBenchReports, DriftAndImprovementFollowDirection) {
 
 TEST(TrendBenchReports, MissingAndNewStatuses) {
   const std::vector<BenchReportView> series{
-      make_view("r1", {{"old_metric", 1.0}, {"auc", 0.9}}),
-      make_view("r2", {{"auc", 0.9}, {"fresh_metric", 2.0}}),
+      make_view("r1", {{"old_metric", 1.0, "down"}, {"auc", 0.9, "up"}}),
+      make_view("r2", {{"auc", 0.9, "up"}, {"fresh_metric", 2.0, "down"}}),
   };
   const BenchTrendResult result = trend_bench_reports(series);
   ASSERT_EQ(result.rows.size(), 3u);
@@ -352,9 +347,9 @@ TEST(TrendBenchReports, MissingAndNewStatuses) {
 
 TEST(TrendBenchReports, LastNTrimsOldReports) {
   const std::vector<BenchReportView> series{
-      make_view("r1", {{"mae", 10.0}}),  // would drift vs the newest
-      make_view("r2", {{"mae", 0.1}}),
-      make_view("r3", {{"mae", 0.1}}),
+      make_view("r1", {{"mae", 10.0, "down"}}),  // would drift vs the newest
+      make_view("r2", {{"mae", 0.1, "down"}}),
+      make_view("r3", {{"mae", 0.1, "down"}}),
   };
   BenchTrendOptions options;
   options.last_n = 2;
@@ -365,10 +360,46 @@ TEST(TrendBenchReports, LastNTrimsOldReports) {
   EXPECT_EQ(result.rows[0].status, "ok");
 }
 
+// The newest report's direction wins; a metric it dropped keeps the
+// direction its own report declared.
+TEST(TrendBenchReports, DirectionsComeFromTheReports) {
+  const std::vector<BenchReportView> series{
+      make_view("r1", {{"flipped", 1.0, "down"}, {"dropped", 1.0, "up"}}),
+      make_view("r2", {{"flipped", 2.0, "up"}}),
+  };
+  const BenchTrendResult result = trend_bench_reports(series);
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0].direction, MetricDirection::kHigherIsBetter);
+  EXPECT_EQ(result.rows[0].status, "improved");
+  EXPECT_EQ(result.rows[1].metric, "dropped");
+  EXPECT_EQ(result.rows[1].direction, MetricDirection::kHigherIsBetter);
+  EXPECT_EQ(result.rows[1].status, "MISSING");
+}
+
+// With --include-wall, wall_seconds is a metric of every report: its row
+// follows the oldest report's metrics, ahead of a metric added later.
+TEST(TrendBenchReports, WallSecondsRowKeepsItsFirstAppearance) {
+  const std::vector<BenchReportView> series{
+      make_view("r1", {{"mae", 0.1, "down"}}, 1.0),
+      make_view("r2", {{"mae", 0.1, "down"}, {"added", 1.0, "down"}}, 1.0),
+      make_view("r3", {{"mae", 0.1, "down"}, {"added", 1.0, "down"}}, 2.0),
+  };
+  BenchTrendOptions options;
+  options.include_wall = true;
+  const BenchTrendResult result = trend_bench_reports(series, options);
+  ASSERT_EQ(result.rows.size(), 3u);
+  EXPECT_EQ(result.rows[1].metric, "wall_seconds");
+  EXPECT_EQ(result.rows[1].direction, MetricDirection::kLowerIsBetter);
+  EXPECT_EQ(result.rows[1].status, "DRIFTED");
+  EXPECT_EQ(result.rows[2].metric, "added");
+  EXPECT_EQ(result.rows[2].present, 2);
+  EXPECT_EQ(result.rows[2].status, "ok");
+}
+
 TEST(TrendBenchReports, SkipSubstringNeverDrifts) {
   const std::vector<BenchReportView> series{
-      make_view("r1", {{"build_seconds", 1.0}}),
-      make_view("r2", {{"build_seconds", 50.0}}),
+      make_view("r1", {{"build_seconds", 1.0, "down"}}),
+      make_view("r2", {{"build_seconds", 50.0, "down"}}),
   };
   BenchTrendOptions options;
   options.skip = {"seconds"};
@@ -384,9 +415,9 @@ int run_trend_cli(const std::vector<std::string>& args, std::string& out) {
 }
 
 TEST(BenchTrendMain, ExitCodeContract) {
-  const std::string r1 = write_temp("bt_0001.json", report_json("b", {{"auc", 0.90}}));
-  const std::string r2 = write_temp("bt_0002.json", report_json("b", {{"auc", 0.90}}));
-  const std::string r3 = write_temp("bt_0003.json", report_json("b", {{"auc", 0.70}}));
+  const std::string r1 = write_temp("bt_0001.json", report_json("b", {{"auc", 0.90, "up"}}));
+  const std::string r2 = write_temp("bt_0002.json", report_json("b", {{"auc", 0.90, "up"}}));
+  const std::string r3 = write_temp("bt_0003.json", report_json("b", {{"auc", 0.70, "up"}}));
 
   std::string out;
   EXPECT_EQ(run_trend_cli({r1, r2}, out), 0);
@@ -407,7 +438,8 @@ TEST(BenchTrendMain, ExitCodeContract) {
   EXPECT_EQ(run_trend_cli({r3, r1, r2, "--last", "2"}, out), 0);
 
   // Mixed bench names are an input error unless --bench filters.
-  const std::string other = write_temp("bt_other.json", report_json("other", {{"auc", 0.9}}));
+  const std::string other =
+      write_temp("bt_other.json", report_json("other", {{"auc", 0.9, "up"}}));
   out.clear();
   EXPECT_EQ(run_trend_cli({r1, r2, other}, out), 2);
   out.clear();
@@ -419,15 +451,63 @@ TEST(BenchTrendMain, ExitCodeContract) {
   std::remove(other.c_str());
 }
 
+// A trend of two reports is their diff: the same rows in the same order,
+// the same statuses (REGRESSED reads DRIFTED) and the same exit code.
+TEST(BenchTrendMain, TwoReportTrendIsTheDiff) {
+  const std::string base = write_temp(
+      "bt_diff_base.json",
+      report_json("b", {{"steady", 1.0, "down"}, {"better", 1.0, "down"}, {"worse", 1.0, "up"},
+                        {"gone", 1.0, "down"}, {"build_seconds", 1.0, "down"}}));
+  const std::string cand = write_temp(
+      "bt_diff_cand.json",
+      report_json("b", {{"steady", 1.01, "down"}, {"better", 0.5, "down"}, {"worse", 0.5, "up"},
+                        {"build_seconds", 9.0, "down"}, {"fresh", 2.0, "up"}}));
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"--skip", "seconds"},
+        std::vector<std::string>{"--tolerance-pct", "60", "--skip", "seconds"},
+        std::vector<std::string>{"--include-wall"}}) {
+    std::vector<std::string> args{base, cand};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::string diff_out;
+    std::string trend_out;
+    EXPECT_EQ(run_trend_cli(args, trend_out), run_cli(args, diff_out)) << trend_out << diff_out;
+  }
+
+  std::string error;
+  const auto a = load_bench_report(base, &error);
+  const auto b = load_bench_report(cand, &error);
+  ASSERT_TRUE(a && b) << error;
+  BenchDiffOptions diff_options;
+  diff_options.skip = {"seconds"};
+  BenchTrendOptions trend_options;
+  trend_options.skip = {"seconds"};
+  const BenchDiffResult diff = diff_bench_reports(*a, *b, diff_options);
+  const BenchTrendResult trend = trend_bench_reports({*a, *b}, trend_options);
+  EXPECT_EQ(trend.drifts, diff.regressions);
+  ASSERT_EQ(trend.rows.size(), diff.rows.size());
+  std::vector<std::string> statuses;
+  for (std::size_t i = 0; i < diff.rows.size(); ++i) {
+    EXPECT_EQ(trend.rows[i].metric, diff.rows[i].metric);
+    EXPECT_EQ(trend.rows[i].direction, diff.rows[i].direction) << diff.rows[i].metric;
+    EXPECT_EQ(trend.rows[i].status,
+              diff.rows[i].status == "REGRESSED" ? "DRIFTED" : diff.rows[i].status);
+    statuses.push_back(diff.rows[i].status);
+  }
+  EXPECT_EQ(statuses, (std::vector<std::string>{"ok", "improved", "REGRESSED", "MISSING",
+                                                 "skipped", "new"}));
+  std::remove(base.c_str());
+  std::remove(cand.c_str());
+}
+
 TEST(BenchTrendMain, DirectoryExpandsSortedJson) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "cgps_trend_dir";
   fs::remove_all(dir);
   fs::create_directories(dir);
   // Written out of order; lexicographic sort must restore chronology.
-  std::ofstream(dir / "0002-bbb.json") << report_json("b", {{"mae", 0.2}});
-  std::ofstream(dir / "0001-aaa.json") << report_json("b", {{"mae", 0.1}});
-  std::ofstream(dir / "0003-ccc.json") << report_json("b", {{"mae", 0.1}});
+  std::ofstream(dir / "0002-bbb.json") << report_json("b", {{"mae", 0.2, "down"}});
+  std::ofstream(dir / "0001-aaa.json") << report_json("b", {{"mae", 0.1, "down"}});
+  std::ofstream(dir / "0003-ccc.json") << report_json("b", {{"mae", 0.1, "down"}});
   std::ofstream(dir / "notes.txt") << "not a report";  // ignored
 
   std::string out;

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -289,8 +290,11 @@ TEST_F(LintFixture, AllowlistSuppressesAndStaleEntriesFlagged) {
   write("allow.txt", "naked-new src/owner.cpp new Sink()\n");
   report = lint("allow.txt");
   EXPECT_EQ(report.violations, 2);  // live finding + stale entry
-  ASSERT_EQ(report.stale.size(), 1u);
-  EXPECT_EQ(report.stale[0].line_no, 1);
+  ASSERT_EQ(report.findings.size(), 2u);
+  EXPECT_EQ(report.findings[1].rule, "stale-allowlist");
+  EXPECT_EQ(report.findings[1].file, (root_ / "allow.txt").string());
+  EXPECT_EQ(report.findings[1].line, 1);
+  EXPECT_FALSE(report.findings[1].allowlisted);
 }
 
 TEST_F(LintFixture, CliExitContract) {
@@ -596,6 +600,211 @@ TEST_F(LintFixture, JsonOutputIsValidRecords) {
   EXPECT_EQ(summary.find("allowlisted")->number, 0.0);
   EXPECT_GE(summary.find("files")->number, 1.0);
   ASSERT_TRUE(summary.has("wall_ms"));
+}
+
+const char* const kGoldenText = R"golden(README.md:0 module-map-drift module map has no row for `src/exec`; every src/ module must be documented
+README.md:0 module-map-drift module map has no row for `src/core`; every src/ module must be documented
+README.md:6 module-map-drift module map documents `src/ghost` but no such module exists; delete or rename the row
+README.md:12 env-var-unreferenced CIRCUITGPS_DOCUMENTED is documented in the README.md table but no code references it
+docs/OPERATIONS.md:0 module-map-drift module map has no row for `src/core`; every src/ module must be documented
+docs/OPERATIONS.md:4 env-var-unreferenced CIRCUITGPS_OPS_ONLY is documented in the docs/OPERATIONS.md table but no code references it
+src/core/atomic.cpp:2 atomic-order-unmanifested memory_order_acquire in src/core/atomic.cpp has no reviewed row in tools/cgps_atomics.txt; weaker-than-seq_cst orders need a one-line justification (DESIGN.md §9)
+    > int g(A& x) { return x.load(std::memory_order_acquire); }
+src/core/atomic.cpp:4 atomic-order-unmanifested use the memory_order_* spelling; the scoped memory_order:: form hides the site from the tools/cgps_atomics.txt scanner
+    > void i(A& y) { y.store(1, std::memory_order::release); }
+src/core/bad.hpp:0 header-pragma-once header is missing #pragma once
+src/core/bad.hpp:2 header-using-namespace `using namespace` in a header leaks into every includer
+    > using namespace std;
+src/core/chatty.cpp:2 no-cout-outside-tools library code must not write to stdout; use util/logging (stderr) or move the print into a tools//bench CLI
+    > void g() { std::cout << 1; }
+src/core/metrics_use.cpp:3 metric-key-format instrument name "BadKey" must be a dotted lowercase key like "sampling.extract" (DESIGN.md §8)
+    > metric_gauge("BadKey").set(1.0);
+src/core/metrics_use.cpp:3 metric-key-registry instrument name "BadKey" is registered in code but missing from tools/cgps_metric_keys.txt; add a row (the manifest is the reviewed schema of the stats payload)
+src/core/metrics_use.cpp:4 metric-key-registry instrument name "serve.mystery" is registered in code but missing from tools/cgps_metric_keys.txt; add a row (the manifest is the reviewed schema of the stats payload)
+src/core/owner.cpp:3 naked-new manual delete is banned in non-test code; use RAII owners
+    > delete p;
+src/core/rogue.cpp:2 getenv-outside-env environment access must go through util/env (strict parsing, warn-once); src/util/env.cpp is the only allowed getenv site
+    > char* a = std::getenv("X");
+src/core/rogue.cpp:3 env-var-undocumented CIRCUITGPS_MYSTERY is read in code but missing from the docs/OPERATIONS.md environment-variable table
+src/core/rogue.cpp:3 env-var-undocumented CIRCUITGPS_MYSTERY is read in code but missing from the README.md environment-variable table
+src/core/spin.cpp:1 volatile-banned `volatile` is not a concurrency tool; use std::atomic
+    > volatile int spin = 0;
+src/core/user.cpp:2 include-order a project include appears after a later block; convention is own header, then project headers, then system headers (DESIGN.md §9)
+    > #include "util/env.hpp"
+src/core/user.cpp:2 layering-violation module edge `core -> util` is not declared in tools/cgps_layering.txt; refactor the dependency or (for a genuinely new layer edge) add the manifest row in the same reviewed change
+    > #include "util/env.hpp"
+src/core/user.cpp:3 include-order duplicate include of "util/env.hpp" (first included on line 2)
+    > #include "util/env.hpp"
+src/core/user.cpp:4 include-order a project include appears after a later block; convention is own header, then project headers, then system headers (DESIGN.md §9)
+    > #include "util/unused.hpp"
+src/core/user.cpp:4 unused-include none of the 1 top-level symbols of "util/unused.hpp" appear in this file; drop the include (or include what you use instead)
+    > #include "util/unused.hpp"
+src/core/x.hpp:2 include-cycle header include cycle: src/core/x.hpp -> src/core/y.hpp -> src/core/x.hpp; break it with a forward declaration or by moving the shared type down a layer
+    > #include "core/y.hpp"
+src/core/y.hpp:2 include-cycle header include cycle: src/core/x.hpp -> src/core/y.hpp -> src/core/x.hpp; break it with a forward declaration or by moving the shared type down a layer
+    > #include "core/x.hpp"
+src/exec/backend_scalar.cpp:2 exec-kernel-alloc kernel backends are arena-only: `malloc` allocates or owns storage on the executor hot path (kernels take caller-carved pointers)
+    > void k(float* out) { float* p = (float*)malloc(8); out[0] = p[0]; }
+tools/cgps_atomics.txt:3 atomics-manifest-stale row `src/core/atomic.cpp memory_order_relaxed` matches no site; the manifest is shrink-only — delete the row
+tools/cgps_atomics.txt:4 atomics-manifest-stale row `src/core/gone.cpp memory_order_relaxed` matches no site; the manifest is shrink-only — delete the row
+tools/cgps_atomics.txt:5 atomics-manifest-unjustified row `src/core/atomic.cpp memory_order_release` carries no justification; every manifest entry must say why the weaker order is sound
+tools/cgps_layering.txt:3 layering-manifest-stale edge `exec -> util` is declared but no include realizes it; the manifest is shrink-only — delete the row
+tools/cgps_layering.txt:4 layering-manifest-stale edge `core -> ghost` is declared but no include realizes it; the manifest is shrink-only — delete the row
+tools/cgps_metric_keys.txt:3 metric-key-registry "serve.retired_key" is listed in the key manifest but no non-test code registers it; delete the row
+allow.txt:3 stale-allowlist entry `getenv-outside-env src/core/nowhere.cpp` matched nothing; delete it
+cgps_lint: 34 violation(s), 1 allowlisted, 16 files in W ms
+)golden";
+
+const char* const kGoldenJson = R"golden({"schema":"cgps-lint-v1","file":"README.md","line":0,"rule":"module-map-drift","message":"module map has no row for `src/exec`; every src/ module must be documented","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"README.md","line":0,"rule":"module-map-drift","message":"module map has no row for `src/core`; every src/ module must be documented","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"README.md","line":6,"rule":"module-map-drift","message":"module map documents `src/ghost` but no such module exists; delete or rename the row","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"README.md","line":12,"rule":"env-var-unreferenced","message":"CIRCUITGPS_DOCUMENTED is documented in the README.md table but no code references it","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"docs/OPERATIONS.md","line":0,"rule":"module-map-drift","message":"module map has no row for `src/core`; every src/ module must be documented","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"docs/OPERATIONS.md","line":4,"rule":"env-var-unreferenced","message":"CIRCUITGPS_OPS_ONLY is documented in the docs/OPERATIONS.md table but no code references it","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/atomic.cpp","line":2,"rule":"atomic-order-unmanifested","message":"memory_order_acquire in src/core/atomic.cpp has no reviewed row in tools/cgps_atomics.txt; weaker-than-seq_cst orders need a one-line justification (DESIGN.md §9)","excerpt":"int g(A& x) { return x.load(std::memory_order_acquire); }","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/atomic.cpp","line":4,"rule":"atomic-order-unmanifested","message":"use the memory_order_* spelling; the scoped memory_order:: form hides the site from the tools/cgps_atomics.txt scanner","excerpt":"void i(A& y) { y.store(1, std::memory_order::release); }","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/bad.hpp","line":0,"rule":"header-pragma-once","message":"header is missing #pragma once","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/bad.hpp","line":2,"rule":"header-using-namespace","message":"`using namespace` in a header leaks into every includer","excerpt":"using namespace std;","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/chatty.cpp","line":2,"rule":"no-cout-outside-tools","message":"library code must not write to stdout; use util/logging (stderr) or move the print into a tools//bench CLI","excerpt":"void g() { std::cout << 1; }","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/metrics_use.cpp","line":3,"rule":"metric-key-format","message":"instrument name \"BadKey\" must be a dotted lowercase key like \"sampling.extract\" (DESIGN.md §8)","excerpt":"metric_gauge(\"BadKey\").set(1.0);","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/metrics_use.cpp","line":3,"rule":"metric-key-registry","message":"instrument name \"BadKey\" is registered in code but missing from tools/cgps_metric_keys.txt; add a row (the manifest is the reviewed schema of the stats payload)","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/metrics_use.cpp","line":4,"rule":"metric-key-registry","message":"instrument name \"serve.mystery\" is registered in code but missing from tools/cgps_metric_keys.txt; add a row (the manifest is the reviewed schema of the stats payload)","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/owner.cpp","line":2,"rule":"naked-new","message":"owning allocations use std::make_unique/containers; naked new needs an allowlist justification","excerpt":"int* p = new int(3);","allowlisted":true}
+{"schema":"cgps-lint-v1","file":"src/core/owner.cpp","line":3,"rule":"naked-new","message":"manual delete is banned in non-test code; use RAII owners","excerpt":"delete p;","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/rogue.cpp","line":2,"rule":"getenv-outside-env","message":"environment access must go through util/env (strict parsing, warn-once); src/util/env.cpp is the only allowed getenv site","excerpt":"char* a = std::getenv(\"X\");","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/rogue.cpp","line":3,"rule":"env-var-undocumented","message":"CIRCUITGPS_MYSTERY is read in code but missing from the docs/OPERATIONS.md environment-variable table","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/rogue.cpp","line":3,"rule":"env-var-undocumented","message":"CIRCUITGPS_MYSTERY is read in code but missing from the README.md environment-variable table","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/spin.cpp","line":1,"rule":"volatile-banned","message":"`volatile` is not a concurrency tool; use std::atomic","excerpt":"volatile int spin = 0;","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/user.cpp","line":2,"rule":"include-order","message":"a project include appears after a later block; convention is own header, then project headers, then system headers (DESIGN.md §9)","excerpt":"#include \"util/env.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/user.cpp","line":2,"rule":"layering-violation","message":"module edge `core -> util` is not declared in tools/cgps_layering.txt; refactor the dependency or (for a genuinely new layer edge) add the manifest row in the same reviewed change","excerpt":"#include \"util/env.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/user.cpp","line":3,"rule":"include-order","message":"duplicate include of \"util/env.hpp\" (first included on line 2)","excerpt":"#include \"util/env.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/user.cpp","line":4,"rule":"include-order","message":"a project include appears after a later block; convention is own header, then project headers, then system headers (DESIGN.md §9)","excerpt":"#include \"util/unused.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/user.cpp","line":4,"rule":"unused-include","message":"none of the 1 top-level symbols of \"util/unused.hpp\" appear in this file; drop the include (or include what you use instead)","excerpt":"#include \"util/unused.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/x.hpp","line":2,"rule":"include-cycle","message":"header include cycle: src/core/x.hpp -> src/core/y.hpp -> src/core/x.hpp; break it with a forward declaration or by moving the shared type down a layer","excerpt":"#include \"core/y.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/core/y.hpp","line":2,"rule":"include-cycle","message":"header include cycle: src/core/x.hpp -> src/core/y.hpp -> src/core/x.hpp; break it with a forward declaration or by moving the shared type down a layer","excerpt":"#include \"core/x.hpp\"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"src/exec/backend_scalar.cpp","line":2,"rule":"exec-kernel-alloc","message":"kernel backends are arena-only: `malloc` allocates or owns storage on the executor hot path (kernels take caller-carved pointers)","excerpt":"void k(float* out) { float* p = (float*)malloc(8); out[0] = p[0]; }","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"tools/cgps_atomics.txt","line":3,"rule":"atomics-manifest-stale","message":"row `src/core/atomic.cpp memory_order_relaxed` matches no site; the manifest is shrink-only — delete the row","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"tools/cgps_atomics.txt","line":4,"rule":"atomics-manifest-stale","message":"row `src/core/gone.cpp memory_order_relaxed` matches no site; the manifest is shrink-only — delete the row","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"tools/cgps_atomics.txt","line":5,"rule":"atomics-manifest-unjustified","message":"row `src/core/atomic.cpp memory_order_release` carries no justification; every manifest entry must say why the weaker order is sound","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"tools/cgps_layering.txt","line":3,"rule":"layering-manifest-stale","message":"edge `exec -> util` is declared but no include realizes it; the manifest is shrink-only — delete the row","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"tools/cgps_layering.txt","line":4,"rule":"layering-manifest-stale","message":"edge `core -> ghost` is declared but no include realizes it; the manifest is shrink-only — delete the row","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"tools/cgps_metric_keys.txt","line":3,"rule":"metric-key-registry","message":"\"serve.retired_key\" is listed in the key manifest but no non-test code registers it; delete the row","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","file":"allow.txt","line":3,"rule":"stale-allowlist","message":"entry `getenv-outside-env src/core/nowhere.cpp` matched nothing; delete it","excerpt":"","allowlisted":false}
+{"schema":"cgps-lint-v1","violations":34,"allowlisted":1,"files":16,"wall_ms":W}
+)golden";
+
+// Every rule's output, byte for byte: a tree that trips all 21 rules, with
+// duplicate manifest and table rows and findings that tie on (file, line,
+// rule), rendered as text and as --json with the wall time masked.
+TEST_F(LintFixture, GoldenOutputCoversEveryRule) {
+  write("README.md",
+        "# Fixture\n"
+        "## Module map\n"
+        "| Path | What |\n"
+        "|---|---|\n"
+        "| `src/util` | utilities |\n"
+        "| `src/ghost` | no such module |\n"
+        "| `src/util` | duplicate row, merged |\n"
+        "\n"
+        "| Variable | Default | Meaning |\n"
+        "|---|---|---|\n"
+        "| `CIRCUITGPS_USED` | unset | read by util/env |\n"
+        "| `CIRCUITGPS_DOCUMENTED` | unset | read by nothing |\n"
+        "| `CIRCUITGPS_DOCUMENTED` | unset | duplicate row, merged |\n");
+  write("docs/OPERATIONS.md",
+        "| `src/util` | utilities |\n"
+        "| `src/exec` | kernels |\n"
+        "| `CIRCUITGPS_USED` | unset | doc |\n"
+        "| `CIRCUITGPS_OPS_ONLY` | unset | dead row |\n");
+  write("allow.txt",
+        "# fixture allowlist\n"
+        "naked-new src/core/owner.cpp new int(3)\n"
+        "getenv-outside-env src/core/nowhere.cpp\n");
+  write("tools/cgps_metric_keys.txt",
+        "# manifest\n"
+        "serve.ok_key\n"
+        "serve.retired_key\n"
+        "serve.retired_key\n");
+  write("tools/cgps_layering.txt",
+        "# manifest\n"
+        "exec -> util\n"
+        "exec -> util\n"
+        "core -> ghost\n");
+  write("tools/cgps_atomics.txt",
+        "# manifest\n"
+        "src/core/atomic.cpp memory_order_relaxed counter, no ordering needed\n"
+        "src/core/atomic.cpp memory_order_relaxed duplicate row\n"
+        "src/core/gone.cpp memory_order_relaxed retired site\n"
+        "src/core/atomic.cpp memory_order_release\n");
+  write("src/util/env.hpp", "#pragma once\nconst char* used();\n");
+  write("src/util/env.cpp",
+        "#include \"util/env.hpp\"\n"
+        "\n"
+        "#include <cstdlib>\n"
+        "\n"
+        "const char* used() { return std::getenv(\"CIRCUITGPS_USED\"); }\n");
+  write("src/util/unused.hpp", "#pragma once\ninline int unused_fn() { return 2; }\n");
+  write("src/exec/plan.cpp", "#include \"util/env.hpp\"\nconst char* p() { return used(); }\n");
+  write("src/exec/backend_scalar.cpp",
+        "#include <cstdlib>\n"
+        "void k(float* out) { float* p = (float*)malloc(8); out[0] = p[0]; }\n");
+  write("src/core/rogue.cpp",
+        "#include <cstdlib>\n"
+        "char* a = std::getenv(\"X\");\n"
+        "const char* b = \"CIRCUITGPS_MYSTERY\";\n");
+  write("src/core/owner.cpp",
+        "void f() {\n"
+        "  int* p = new int(3);\n"
+        "  delete p;\n"
+        "}\n");
+  write("src/core/chatty.cpp", "#include <iostream>\nvoid g() { std::cout << 1; }\n");
+  write("src/core/metrics_use.cpp",
+        "void h() {\n"
+        "  metric_counter(\"serve.ok_key\").add(1);\n"
+        "  metric_gauge(\"BadKey\").set(1.0);\n"
+        "  metric_counter(\"serve.mystery\").add(1);\n"
+        "}\n");
+  write("src/core/bad.hpp",
+        "#include <string>\n"
+        "using namespace std;\n"
+        "inline int bad() { return 1; }\n");
+  write("src/core/x.hpp",
+        "#pragma once\n#include \"core/y.hpp\"\ninline int x() { return y(); }\n");
+  write("src/core/y.hpp",
+        "#pragma once\n#include \"core/x.hpp\"\ninline int y() { return x(); }\n");
+  write("src/core/user.cpp",
+        "#include <vector>\n"
+        "#include \"util/env.hpp\"\n"
+        "#include \"util/env.hpp\"\n"
+        "#include \"util/unused.hpp\"\n"
+        "int u() { return used() != nullptr; }\n");
+  write("src/core/atomic.cpp",
+        "void f(C& c) { c.fetch_add(1, std::memory_order_relaxed); }\n"
+        "int g(A& x) { return x.load(std::memory_order_acquire); }\n"
+        "void h(A& y) { y.store(1, std::memory_order_release); }\n"
+        "void i(A& y) { y.store(1, std::memory_order::release); }\n");
+  write("src/core/spin.cpp", "volatile int spin = 0;\n");
+  write("tests/test_fixture.cpp",
+        "void t() {\n"
+        "  metric_counter(\"test.only\").add(1);\n"
+        "  const char* v = \"CIRCUITGPS_TEST_ONLY\";\n"
+        "  volatile int z = 0;\n"
+        "}\n");
+
+  const std::string root = root_.string();
+  const std::string allow = (root_ / "allow.txt").string();
+  const auto run = [&](bool json) {
+    std::vector<const char*> argv{"cgps_lint", root.c_str(), "--allowlist", allow.c_str()};
+    if (json) argv.push_back("--json");
+    std::string out;
+    EXPECT_EQ(lint_main(static_cast<int>(argv.size()), argv.data(), out), 1);
+    for (std::size_t at = out.find(allow); at != std::string::npos; at = out.find(allow))
+      out.replace(at, allow.size(), "allow.txt");
+    out = std::regex_replace(out, std::regex(" in [0-9.]+ ms\n"), " in W ms\n");
+    return std::regex_replace(out, std::regex("\"wall_ms\":[^}]*\\}"), "\"wall_ms\":W}");
+  };
+  EXPECT_EQ(run(false), kGoldenText);
+  EXPECT_EQ(run(true), kGoldenJson);
 }
 
 TEST(LintHelpers, ExportedSymbols) {

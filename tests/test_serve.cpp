@@ -91,10 +91,12 @@ ServeFixture& fixture() {
   return f;
 }
 
-// A plain blocking loopback socket, for clients ServeClient cannot play.
-int raw_connect(int port) {
+// A plain blocking loopback socket, for clients ServeClient cannot play;
+// `rcvbuf` > 0 sets its receive buffer before it connects.
+int raw_connect(int port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -555,6 +557,103 @@ TEST(ServeServer, StalledReaderDoesNotStallOtherClients) {
   core.stop();
 }
 
+// Caps the send buffer that the listener on `port` gives the sockets it
+// accepts from now on. Linux sizes a loopback socket's send buffer at
+// megabytes when it connects; capped, replies to a client that is not
+// reading back up in the server instead of in the kernel.
+void cap_accepted_send_buffers(int port) {
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in addr{};
+    socklen_t len = sizeof(addr);
+    int listening = 0;
+    socklen_t flag_len = sizeof(listening);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+        addr.sin_family != AF_INET || ntohs(addr.sin_port) != port ||
+        ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &flag_len) != 0 ||
+        listening == 0)
+      continue;
+    const int bytes = 4096;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)), 0);
+    return;
+  }
+  ADD_FAILURE() << "no listener on port " << port;
+}
+
+// A served core that was never started, and one client with a small receive
+// buffer whose pipelined node-cap requests the core has all admitted and then
+// drained: the replies no longer fit in the socket buffers, so most of them
+// are still owed when the server stops.
+struct DrainedBacklog {
+  static constexpr int kRequests = 2000;
+
+  explicit DrainedBacklog(ServeFixture& f)
+      : core(*f.model, f.normalizer, {f.design}, options(f)), server(core, /*port=*/0) {
+    EXPECT_TRUE(server.start());
+    cap_accepted_send_buffers(server.port());
+    fd = raw_connect(server.port(), /*rcvbuf=*/4096);
+    std::vector<std::uint8_t> stream;
+    for (int i = 0; i < kRequests; ++i) {
+      Request r;
+      r.id = static_cast<std::uint64_t>(i + 1);
+      r.task = TaskKind::kNodeCap;
+      r.node_a = i % 8;
+      serve::append_frame(stream, serve::encode_request(r));
+    }
+    EXPECT_TRUE(serve::write_all_bytes(fd, stream.data(), stream.size()));
+    const Gauge& depth = metric_gauge("serve.queue_depth");
+    EXPECT_TRUE(within_5s([&] { return depth.value() == kRequests; })) << depth.value();
+    core.stop();
+  }
+  ~DrainedBacklog() { ::close(fd); }
+
+  static ServeOptions options(const ServeFixture& f) {
+    ServeOptions o = f.options();
+    o.max_batch = 64;
+    o.queue_cap = kRequests;
+    return o;
+  }
+
+  serve::ServeCore core;
+  serve::ServeServer server;
+  int fd = -1;
+};
+
+// Draining the core and then stopping the server delivers one reply per
+// admitted request: stop() sends what each connection is still owed before
+// it closes it. The reader starts after stop() has begun, so the replies
+// stuck behind the full socket are the ones stop() itself must send.
+TEST(ServeServer, StopAfterDrainDeliversEveryAdmittedReply) {
+  DrainedBacklog backlog(fixture());
+  int replies = 0;
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::vector<std::uint8_t> in;
+    std::vector<std::uint8_t> payload;
+    std::size_t pos = 0;
+    std::uint8_t chunk[4096];
+    for (ssize_t got; (got = ::read(backlog.fd, chunk, sizeof(chunk))) > 0;) {
+      in.insert(in.end(), chunk, chunk + got);
+      while (serve::scan_frame(in, pos, payload) == serve::FrameScan::kFrame)
+        replies += serve::decode_response(payload).has_value() ? 1 : 0;
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  backlog.server.stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  reader.join();
+  EXPECT_EQ(replies, DrainedBacklog::kRequests)
+      << "stop() took " << std::chrono::duration<double>(took).count() << " s";
+}
+
+// A client that never reads cannot hold stop() up past its bound (about a
+// second) by much.
+TEST(ServeServer, StopGivesUpOnAClientThatNeverReads) {
+  DrainedBacklog backlog(fixture());
+  const auto start = std::chrono::steady_clock::now();
+  backlog.server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(3));
+}
+
 // Unregistering the cycle hook waits for a hook that is running, so a
 // transport can release what its hook writes to as soon as it returns.
 TEST(ServeCore, SetCycleHookWaitsForARunningHook) {
@@ -669,6 +768,15 @@ TEST(ServeProtocol, StatsResponseRoundTripAndVersionBounds) {
   EXPECT_TRUE(serve::decode_request(req).has_value());
   req[4] = serve::kProtocolVersion + 1;
   EXPECT_FALSE(serve::decode_request(req).has_value());
+}
+
+// The payload sizes protocol.hpp documents: magic 4 + version 1 + id 8,
+// then 19 request bytes, 21 response bytes, or the JSON.
+TEST(ServeProtocol, PayloadSizesMatchTheLayout) {
+  EXPECT_EQ(serve::encode_request(Request{}).size(), 32u);
+  EXPECT_EQ(serve::encode_response(Response{}).size(), 34u);
+  EXPECT_EQ(serve::encode_stats_response(7, "").size(), 13u);
+  EXPECT_EQ(serve::encode_stats_response(7, "{\"a\":1}").size(), 13u + 7u);
 }
 
 TEST(ServeProtocol, RequestAndResponseRoundTrip) {

@@ -63,7 +63,6 @@ TEST(Ops, Broadcasts) {
   Tensor row = Tensor::from_vector({10, 20}, 1, 2);
   Tensor col = Tensor::from_vector({100, 200}, 2, 1);
   EXPECT_EQ(ops::add_rowvec(x, row).at(1, 1), 24.0f);
-  EXPECT_EQ(ops::mul_rowvec(x, row).at(1, 0), 30.0f);
   EXPECT_EQ(ops::add_colvec(x, col).at(1, 0), 203.0f);
   EXPECT_EQ(ops::sub_colvec(x, col).at(0, 1), -98.0f);
   EXPECT_EQ(ops::mul_colvec(x, col).at(0, 0), 100.0f);
@@ -78,12 +77,8 @@ TEST(Ops, ScalarAndUnary) {
   EXPECT_EQ(ops::relu(x).at(0, 0), 0.0f);
   EXPECT_EQ(ops::relu(x).at(1, 1), 4.0f);
   EXPECT_NEAR(ops::sigmoid(Tensor::scalar(0.0f)).item(), 0.5f, 1e-6);
-  EXPECT_NEAR(ops::tanh_op(Tensor::scalar(100.0f)).item(), 1.0f, 1e-6);
   EXPECT_NEAR(ops::exp_op(Tensor::scalar(1.0f)).item(), std::exp(1.0f), 1e-5);
-  EXPECT_NEAR(ops::log_op(Tensor::scalar(std::exp(2.0f))).item(), 2.0f, 1e-5);
-  EXPECT_EQ(ops::sqrt_op(Tensor::scalar(9.0f)).item(), 3.0f);
   EXPECT_EQ(ops::square(x).at(1, 1), 16.0f);
-  EXPECT_EQ(ops::abs_op(x).at(0, 0), 1.0f);
 }
 
 TEST(Ops, SigmoidNumericallyStableAtExtremes) {
@@ -247,11 +242,10 @@ TEST(Losses, BceStableForHugeLogits) {
   EXPECT_NEAR(ops::bce_with_logits(logits, targets).item(), 0.0, 1e-5);
 }
 
-TEST(Losses, MseAndL1) {
+TEST(Losses, Mse) {
   Tensor p = Tensor::from_vector({1, 3}, 2, 1);
   Tensor t = Tensor::from_vector({0, 1}, 2, 1);
   EXPECT_NEAR(ops::mse_loss(p, t).item(), (1.0 + 4.0) / 2.0, 1e-6);
-  EXPECT_NEAR(ops::l1_loss(p, t).item(), (1.0 + 2.0) / 2.0, 1e-6);
 }
 
 TEST(Losses, SoftmaxCrossEntropy) {

@@ -89,14 +89,6 @@ TEST_P(TensorProperty, GatherScatterAdjoint) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
-TEST_P(TensorProperty, SegmentSumMatchesScatterAdd) {
-  const auto [m, n] = GetParam();
-  Tensor x = random(m, n);
-  std::vector<std::int32_t> seg(static_cast<std::size_t>(m));
-  for (auto& s : seg) s = static_cast<std::int32_t>(rng_.uniform_int(4));
-  expect_close(ops::segment_sum(x, seg, 4), ops::scatter_add_rows(x, seg, 4), 0.0f);
-}
-
 TEST_P(TensorProperty, RowSumViaMatmulWithOnes) {
   const auto [m, n] = GetParam();
   Tensor x = random(m, n);

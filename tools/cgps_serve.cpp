@@ -244,8 +244,8 @@ int main(int argc, char** argv) {
   while (g_stop == 0) pause();
 
   log_info("cgps_serve: signal received, draining");
-  server.stop();  // stop accepting new work first
-  core.stop();    // then answer everything already admitted
+  core.stop();    // answer everything already admitted; later frames get kShutdown
+  server.stop();  // then send what each client is owed and close
   std::cout << "cgps_serve drained: " << metric_counter("serve.requests").value()
             << " requests, " << metric_counter("serve.ok").value() << " ok, "
             << metric_counter("serve.timeouts").value() << " timeouts" << std::endl;
